@@ -145,3 +145,54 @@ fn read_trace_and_journal_reject_interior_corruption() {
     fs::remove_file(&trace).ok();
     fs::remove_file(&journal).ok();
 }
+
+// ---------------------------------------------------------------------
+// Byte-pinned goldens for the three JSONL record kinds written to disk:
+// dataset entries, journal records, and trace events. Round trips alone
+// cannot catch a drift that changes writer and reader the same way.
+// ---------------------------------------------------------------------
+
+#[test]
+fn data_entry_line_golden() {
+    let e = dda_core::dataset::DataEntry::new(
+        "fix \"this\"",
+        "module m;\n\twire a; // \\ \u{1}\nendmodule",
+        "§ ☃ 🚀\r",
+    );
+    let golden = r#"{"instruct": "fix \"this\"", "input": "module m;\n\twire a; // \\ \u0001\nendmodule", "output": "§ ☃ 🚀\r"}"#;
+    assert_eq!(json::to_json_line(&e), golden);
+    assert_eq!(json::from_jsonl(golden).unwrap(), vec![e]);
+}
+
+#[test]
+fn journal_record_golden() {
+    let path = tmp("journal-golden.jsonl");
+    let mut j = Journal::create(&path).unwrap();
+    j.record(17, "a {\"ev\": \"ping\", \"id\": 3}\n\t\u{1f} λ")
+        .unwrap();
+    drop(j);
+    let golden = "{\"unit\": 17, \"payload\": \"a {\\\"ev\\\": \\\"ping\\\", \\\"id\\\": 3}\\n\\t\\u001f λ\"}\n";
+    assert_eq!(fs::read_to_string(&path).unwrap(), golden);
+    assert_eq!(
+        Journal::load(&path).unwrap(),
+        vec![(17, "a {\"ev\": \"ping\", \"id\": 3}\n\t\u{1f} λ".to_owned())]
+    );
+    fs::remove_file(&path).ok();
+}
+
+#[test]
+fn trace_event_golden() {
+    let mut ev = Event::new("stage")
+        .str("module", "ctr \"q\"\n")
+        .u64("entries", 42)
+        .f64("ms", 0.125)
+        .f64("whole", 3.0)
+        .bool("panicked", false);
+    ev.fields.push(("delta".into(), Value::I64(-3)));
+    let golden = r#"{"ev": "stage", "module": "ctr \"q\"\n", "entries": 42, "ms": 0.125, "whole": 3, "panicked": false, "delta": -3}"#;
+    assert_eq!(encode(&ev), golden);
+    // `3.0` encodes as `3`, which decodes as an integer.
+    let back = parse(golden).unwrap();
+    assert_eq!(back.field("whole"), Some(&Value::U64(3)));
+    assert_eq!(encode(&back), golden);
+}

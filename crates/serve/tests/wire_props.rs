@@ -163,3 +163,463 @@ proptest! {
         prop_assert_eq!(back, req);
     }
 }
+
+// ---------------------------------------------------------------------
+// Byte-pinned goldens. The round-trip properties above cannot see a
+// drift that changes the encoder and the decoder the same way; these pin
+// the exact wire bytes of every request and response variant, decode
+// each golden back to its value, and pin the JSONL lines the `retrieve`
+// and `agent` handlers embed in their responses.
+// ---------------------------------------------------------------------
+
+use dda_corpus::{CorpusModule, Family};
+use dda_serve::handlers::{execute, HandlerCx};
+use dda_serve::proto::{ErrorCode, RespBody, StatsBody, DEFAULT_AGENT_SEED};
+use dda_slm::{ShardedTfIdf, Slm, SlmProfile};
+use std::collections::BTreeMap;
+
+fn req(id: u64, priority: Priority, deadline_ms: Option<u64>, body: ReqBody) -> Request {
+    Request {
+        id,
+        priority,
+        deadline_ms,
+        body,
+    }
+}
+
+fn resp(id: u64, verb: &str, body: RespBody) -> Response {
+    Response {
+        id,
+        verb: verb.into(),
+        body,
+    }
+}
+
+const SRC: &str = "module m(input a, output y);\n\tassign y = a; // \"q\" \\\nendmodule\n";
+const SRC_WIRE: &str = r#"module m(input a, output y);\n\tassign y = a; // \"q\" \\\nendmodule\n"#;
+
+fn request_goldens() -> Vec<(Request, String)> {
+    use Priority::{High, Normal};
+    vec![
+        (req(1, Normal, None, ReqBody::Ping), r#"{"ev": "ping", "id": 1}"#.into()),
+        (
+            req(2, High, None, ReqBody::Stats),
+            r#"{"ev": "stats", "id": 2, "priority": "high"}"#.into(),
+        ),
+        (
+            req(3, Normal, Some(250), ReqBody::Health),
+            r#"{"ev": "health", "id": 3, "deadline_ms": 250}"#.into(),
+        ),
+        (req(4, Normal, None, ReqBody::Ready), r#"{"ev": "ready", "id": 4}"#.into()),
+        (
+            req(5, Normal, None, ReqBody::Shutdown),
+            r#"{"ev": "shutdown", "id": 5}"#.into(),
+        ),
+        (req(6, Normal, None, ReqBody::Poison), r#"{"ev": "poison", "id": 6}"#.into()),
+        (
+            req(
+                7,
+                High,
+                Some(1500),
+                ReqBody::Augment {
+                    name: "ctr".into(),
+                    source: SRC.into(),
+                    seed: 2024,
+                },
+            ),
+            format!(
+                r#"{{"ev": "augment", "id": 7, "priority": "high", "deadline_ms": 1500, "name": "ctr", "source": "{SRC_WIRE}", "seed": 2024}}"#
+            ),
+        ),
+        (
+            req(
+                8,
+                Normal,
+                None,
+                ReqBody::Generate {
+                    instruct: dda_core::align::ALIGN_INSTRUCT.into(),
+                    prompt: "a 4-bit counter § ☃ 🚀".into(),
+                    temperature: 0.1,
+                    seed: 99,
+                },
+            ),
+            r#"{"ev": "generate", "id": 8, "instruct": "give me the Verilog module of this description.", "prompt": "a 4-bit counter § ☃ 🚀", "temperature": 0.1, "seed": 99}"#.into(),
+        ),
+        (
+            req(
+                9,
+                Normal,
+                None,
+                ReqBody::Generate {
+                    instruct: "fix\u{1}".into(),
+                    prompt: "p".into(),
+                    temperature: 0.75,
+                    seed: 3,
+                },
+            ),
+            r#"{"ev": "generate", "id": 9, "instruct": "fix\u0001", "prompt": "p", "temperature": 0.75, "seed": 3}"#.into(),
+        ),
+        (
+            req(
+                10,
+                Normal,
+                None,
+                ReqBody::Repair {
+                    name: "broken".into(),
+                    source: SRC.into(),
+                    budget: 200,
+                },
+            ),
+            format!(
+                r#"{{"ev": "repair", "id": 10, "name": "broken", "source": "{SRC_WIRE}", "budget": 200}}"#
+            ),
+        ),
+        (
+            req(
+                11,
+                Normal,
+                None,
+                ReqBody::Score {
+                    source: SRC.into(),
+                    problem: Some("simple_wire".into()),
+                    testbench: None,
+                    top: "tb".into(),
+                    runs: 1,
+                },
+            ),
+            format!(
+                r#"{{"ev": "score", "id": 11, "source": "{SRC_WIRE}", "problem": "simple_wire", "top": "tb"}}"#
+            ),
+        ),
+        (
+            // Every non-default field present; `runs` is encoded before `top`.
+            req(
+                12,
+                High,
+                Some(2000),
+                ReqBody::Score {
+                    source: "module m; endmodule".into(),
+                    problem: None,
+                    testbench: Some("module tb; initial $display(\"RESULT 1 1\"); endmodule".into()),
+                    top: "tb2".into(),
+                    runs: 8,
+                },
+            ),
+            r#"{"ev": "score", "id": 12, "priority": "high", "deadline_ms": 2000, "source": "module m; endmodule", "testbench": "module tb; initial $display(\"RESULT 1 1\"); endmodule", "runs": 8, "top": "tb2"}"#.into(),
+        ),
+        (
+            req(
+                13,
+                Normal,
+                None,
+                ReqBody::Retrieve {
+                    query: "an eight bit counter".into(),
+                    k: 5,
+                },
+            ),
+            r#"{"ev": "retrieve", "id": 13, "query": "an eight bit counter", "k": 5}"#.into(),
+        ),
+        (
+            req(
+                14,
+                Normal,
+                None,
+                ReqBody::Agent {
+                    problem: "simple_wire".into(),
+                    level: 2,
+                    k: 5,
+                    rounds: 3,
+                    early_exit: false,
+                    rag_k: 0,
+                    runs: 1,
+                    seed: DEFAULT_AGENT_SEED,
+                },
+            ),
+            r#"{"ev": "agent", "id": 14, "problem": "simple_wire"}"#.into(),
+        ),
+        (
+            req(
+                15,
+                Normal,
+                Some(5000),
+                ReqBody::Agent {
+                    problem: "counter".into(),
+                    level: 1,
+                    k: 3,
+                    rounds: 2,
+                    early_exit: true,
+                    rag_k: 4,
+                    runs: 8,
+                    seed: 42,
+                },
+            ),
+            r#"{"ev": "agent", "id": 15, "deadline_ms": 5000, "problem": "counter", "level": 1, "k": 3, "rounds": 2, "early_exit": true, "rag_k": 4, "runs": 8, "seed": 42}"#.into(),
+        ),
+    ]
+}
+
+fn response_goldens() -> Vec<(Response, String)> {
+    vec![
+        (
+            resp(1, "ping", RespBody::Pong),
+            r#"{"ev": "response", "id": 1, "verb": "ping", "status": "ok"}"#.into(),
+        ),
+        (
+            resp(
+                2,
+                "stats",
+                RespBody::Stats(StatsBody {
+                    admitted: 1,
+                    completed: 2,
+                    shed: 3,
+                    timed_out: 4,
+                    panics: 5,
+                    queue_depth: 6,
+                    cache_hits: 7,
+                    cache_misses: 8,
+                    cache_evictions: 9,
+                    cache_resident: 10,
+                    dropped: 11,
+                    replayed: 12,
+                }),
+            ),
+            r#"{"ev": "response", "id": 2, "verb": "stats", "status": "ok", "admitted": 1, "completed": 2, "shed": 3, "timed_out": 4, "panics": 5, "queue_depth": 6, "cache_hits": 7, "cache_misses": 8, "cache_evictions": 9, "cache_resident": 10, "dropped": 11, "replayed": 12}"#.into(),
+        ),
+        (
+            resp(3, "shutdown", RespBody::ShuttingDown),
+            r#"{"ev": "response", "id": 3, "verb": "shutdown", "status": "ok"}"#.into(),
+        ),
+        (
+            resp(
+                4,
+                "health",
+                RespBody::Health {
+                    uptime_ms: 1234,
+                    generation: 2,
+                    replayed: 7,
+                    failpoints: true,
+                },
+            ),
+            r#"{"ev": "response", "id": 4, "verb": "health", "status": "ok", "uptime_ms": 1234, "generation": 2, "replayed": 7, "failpoints": true}"#.into(),
+        ),
+        (
+            resp(5, "ready", RespBody::Ready { ready: false }),
+            r#"{"ev": "response", "id": 5, "verb": "ready", "status": "ok", "ready": false}"#.into(),
+        ),
+        (
+            resp(
+                6,
+                "augment",
+                RespBody::Augmented {
+                    entries: 1,
+                    quarantined: 0,
+                    jsonl: "{\"instruct\": \"i\", \"input\": \"a\\nb\", \"output\": \"o\"}\n".into(),
+                },
+            ),
+            r#"{"ev": "response", "id": 6, "verb": "augment", "status": "ok", "entries": 1, "quarantined": 0, "jsonl": "{\"instruct\": \"i\", \"input\": \"a\\nb\", \"output\": \"o\"}\n"}"#.into(),
+        ),
+        (
+            resp(
+                7,
+                "generate",
+                RespBody::Generated {
+                    output: "module c; endmodule // ☃".into(),
+                },
+            ),
+            r#"{"ev": "response", "id": 7, "verb": "generate", "status": "ok", "output": "module c; endmodule // ☃"}"#.into(),
+        ),
+        (
+            resp(
+                8,
+                "repair",
+                RespBody::Repaired {
+                    source: SRC.into(),
+                    clean: true,
+                    cost: 17,
+                },
+            ),
+            format!(
+                r#"{{"ev": "response", "id": 8, "verb": "repair", "status": "ok", "source": "{SRC_WIRE}", "clean": true, "cost": 17}}"#
+            ),
+        ),
+        (
+            resp(
+                9,
+                "score",
+                RespBody::Scored {
+                    verdict: "scored".into(),
+                    pass_rate: 1.0,
+                    detail: String::new(),
+                    lanes: 1,
+                },
+            ),
+            r#"{"ev": "response", "id": 9, "verb": "score", "status": "ok", "verdict": "scored", "pass_rate": 1, "detail": ""}"#.into(),
+        ),
+        (
+            resp(
+                10,
+                "score",
+                RespBody::Scored {
+                    verdict: "timeout".into(),
+                    pass_rate: 0.25,
+                    detail: "step budget\texceeded".into(),
+                    lanes: 8,
+                },
+            ),
+            r#"{"ev": "response", "id": 10, "verb": "score", "status": "ok", "verdict": "timeout", "pass_rate": 0.25, "detail": "step budget\texceeded", "lanes": 8}"#.into(),
+        ),
+        (
+            resp(
+                11,
+                "retrieve",
+                RespBody::Retrieved {
+                    count: 1,
+                    jsonl: "{\"id\": 0, \"score\": 0.5, \"name\": \"m\", \"source\": \"x\"}\n".into(),
+                },
+            ),
+            r#"{"ev": "response", "id": 11, "verb": "retrieve", "status": "ok", "count": 1, "jsonl": "{\"id\": 0, \"score\": 0.5, \"name\": \"m\", \"source\": \"x\"}\n"}"#.into(),
+        ),
+        (
+            resp(
+                12,
+                "agent",
+                RespBody::AgentReport {
+                    passed: false,
+                    winner: None,
+                    chains: 2,
+                    rounds_total: 6,
+                    quarantined: 0,
+                    jsonl: String::new(),
+                },
+            ),
+            r#"{"ev": "response", "id": 12, "verb": "agent", "status": "ok", "passed": false, "chains": 2, "rounds_total": 6, "jsonl": ""}"#.into(),
+        ),
+        (
+            resp(
+                13,
+                "agent",
+                RespBody::AgentReport {
+                    passed: true,
+                    winner: Some(1),
+                    chains: 5,
+                    rounds_total: 9,
+                    quarantined: 2,
+                    jsonl: "x\n".into(),
+                },
+            ),
+            r#"{"ev": "response", "id": 13, "verb": "agent", "status": "ok", "passed": true, "winner": 1, "chains": 5, "rounds_total": 9, "quarantined": 2, "jsonl": "x\n"}"#.into(),
+        ),
+        (
+            Response::error(14, "augment", ErrorCode::Overloaded, "pool queue full (64 jobs queued)"),
+            r#"{"ev": "response", "id": 14, "verb": "augment", "status": "error", "code": "overloaded", "message": "pool queue full (64 jobs queued)"}"#.into(),
+        ),
+        (
+            Response::error(0, "?", ErrorCode::BadRequest, "missing field `id`"),
+            r#"{"ev": "response", "id": 0, "verb": "?", "status": "error", "code": "bad_request", "message": "missing field `id`"}"#.into(),
+        ),
+        (
+            Response::error(15, "score", ErrorCode::Deadline, "d"),
+            r#"{"ev": "response", "id": 15, "verb": "score", "status": "error", "code": "deadline", "message": "d"}"#.into(),
+        ),
+        (
+            Response::error(16, "score", ErrorCode::Panic, "p"),
+            r#"{"ev": "response", "id": 16, "verb": "score", "status": "error", "code": "panic", "message": "p"}"#.into(),
+        ),
+        (
+            Response::error(17, "generate", ErrorCode::Shutdown, "s"),
+            r#"{"ev": "response", "id": 17, "verb": "generate", "status": "error", "code": "shutdown", "message": "s"}"#.into(),
+        ),
+    ]
+}
+
+#[test]
+fn request_goldens_are_byte_exact() {
+    for (r, golden) in request_goldens() {
+        assert_eq!(r.to_line(), golden, "encode of {r:?}");
+        assert_eq!(
+            Request::from_line(&golden).as_ref(),
+            Ok(&r),
+            "decode of {golden}"
+        );
+    }
+}
+
+#[test]
+fn response_goldens_are_byte_exact() {
+    for (r, golden) in response_goldens() {
+        assert_eq!(r.to_line(), golden, "encode of {r:?}");
+        assert_eq!(
+            Response::from_line(&golden).as_ref(),
+            Ok(&r),
+            "decode of {golden}"
+        );
+    }
+}
+
+/// A handler context over a one-module retrieval corpus whose name and
+/// source need escaping, so the `retrieve` hit line is short and pinned.
+fn golden_cx() -> HandlerCx {
+    let module = CorpusModule {
+        family: Family::WireBuf,
+        name: "buf \"q\"".into(),
+        source: "module buf_q(input a, output y);\n\tassign y = a;\nendmodule\n".into(),
+    };
+    let mut retrieval = ShardedTfIdf::new(1);
+    retrieval
+        .insert(0, &format!("{} {}", module.name, module.source))
+        .unwrap();
+    let mut problems = BTreeMap::new();
+    for p in dda_benchmarks::thakur_suite() {
+        problems.insert(p.id.to_string(), p);
+    }
+    HandlerCx {
+        slm: Slm::pretrained(SlmProfile::llama2(13.0)),
+        problems,
+        retrieve_corpus: vec![module],
+        retrieval,
+        fault_injection: false,
+    }
+}
+
+#[test]
+fn retrieve_hit_line_golden() {
+    let body = ReqBody::Retrieve {
+        query: "buf assign".into(),
+        k: 1,
+    };
+    match execute(&golden_cx(), &body, &dda_runtime::CancelToken::new()) {
+        RespBody::Retrieved { count, jsonl } => {
+            assert_eq!(count, 1);
+            assert_eq!(
+                jsonl,
+                "{\"id\": 0, \"score\": 0.29193509597604356, \"name\": \"buf \\\"q\\\"\", \
+                 \"source\": \"module buf_q(input a, output y);\\n\\tassign y = a;\\nendmodule\\n\"}\n"
+            );
+        }
+        other => panic!("unexpected response: {other:?}"),
+    }
+}
+
+#[test]
+fn agent_chain_line_golden() {
+    let body = ReqBody::Agent {
+        problem: "basic1".into(),
+        level: 2,
+        k: 2,
+        rounds: 1,
+        early_exit: false,
+        rag_k: 0,
+        runs: 1,
+        seed: DEFAULT_AGENT_SEED,
+    };
+    match execute(&golden_cx(), &body, &dda_runtime::CancelToken::new()) {
+        RespBody::AgentReport { jsonl, .. } => assert_eq!(
+            jsonl,
+            "{\"chain\": 0, \"rounds\": 2, \"lint\": true, \"function\": 0, \
+             \"repaired\": true, \"cancelled\": false}\n\
+             {\"chain\": 1, \"rounds\": 2, \"lint\": true, \"function\": 0, \
+             \"repaired\": true, \"cancelled\": false}\n"
+        ),
+        other => panic!("unexpected response: {other:?}"),
+    }
+}
