@@ -1,29 +1,24 @@
-//! Minimal JSONL serialization for [`DataEntry`] records.
+//! JSONL serialization for [`DataEntry`] records.
 //!
-//! The dataset format is three flat string fields, so a full JSON library
-//! is not warranted (and `serde_json` is outside the approved offline
-//! dependency set). This module implements exactly the subset needed:
-//! RFC 8259 string escaping and a parser for one-object-per-line records.
+//! A dataset line is one flat object of three string fields,
+//! `{"instruct": ..., "input": ..., "output": ...}`, written and read
+//! with the workspace's one JSON codec, [`dda_obs::event`] (`serde_json`
+//! is outside the approved offline dependency set).
 
 use crate::dataset::DataEntry;
+use dda_obs::event::{decode_object, ObjectWriter, Value};
 use std::error::Error;
 use std::fmt;
 
-/// Escapes a string per JSON rules.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// The dataset line's field names, in write order.
+const FIELDS: [&str; 3] = ["instruct", "input", "output"];
+
+fn write_entry(out: &mut String, e: &DataEntry) {
+    let mut w = ObjectWriter::new(out);
+    w.str(FIELDS[0], &e.instruct)
+        .str(FIELDS[1], &e.input)
+        .str(FIELDS[2], &e.output);
+    w.finish();
 }
 
 /// Serializes one entry to a single JSON line (no trailing newline).
@@ -37,19 +32,16 @@ pub fn escape(s: &str) -> String {
 /// );
 /// ```
 pub fn to_json_line(e: &DataEntry) -> String {
-    format!(
-        "{{\"instruct\": \"{}\", \"input\": \"{}\", \"output\": \"{}\"}}",
-        escape(&e.instruct),
-        escape(&e.input),
-        escape(&e.output)
-    )
+    let mut out = String::with_capacity(e.instruct.len() + e.input.len() + e.output.len() + 48);
+    write_entry(&mut out, e);
+    out
 }
 
 /// Serializes entries to JSONL text.
 pub fn to_jsonl<'a>(entries: impl IntoIterator<Item = &'a DataEntry>) -> String {
     let mut out = String::new();
     for e in entries {
-        out.push_str(&to_json_line(e));
+        write_entry(&mut out, e);
         out.push('\n');
     }
     out
@@ -72,143 +64,53 @@ impl fmt::Display for ParseJsonError {
 
 impl Error for ParseJsonError {}
 
-/// Parses JSONL text back into entries.
+/// Parses JSONL text back into entries. Blank lines are skipped.
 ///
 /// # Errors
 ///
-/// Returns [`ParseJsonError`] for malformed lines or missing fields.
+/// Returns [`ParseJsonError`] for a line that is not exactly one JSON
+/// object (trailing bytes after the `}` included), a duplicate, unknown
+/// or non-string field, or a missing field.
 pub fn from_jsonl(text: &str) -> Result<Vec<DataEntry>, ParseJsonError> {
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
-        let line_no = i + 1;
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        out.push(parse_line(line).map_err(|m| ParseJsonError {
-            line: line_no,
-            message: m,
+        out.push(decode_entry(line).map_err(|message| ParseJsonError {
+            line: i + 1,
+            message,
         })?);
     }
     Ok(out)
 }
 
-fn skip_ws_at(bytes: &[char], pos: &mut usize) {
-    while *pos < bytes.len() && bytes[*pos].is_whitespace() {
-        *pos += 1;
+fn decode_entry(line: &str) -> Result<DataEntry, String> {
+    let mut slots: [Option<String>; 3] = Default::default();
+    for (key, value) in decode_object(line)? {
+        let i = FIELDS
+            .iter()
+            .position(|f| *f == key)
+            .ok_or_else(|| format!("unknown field `{key}`"))?;
+        let Value::Str(s) = value else {
+            return Err(format!("field `{key}` must be a string"));
+        };
+        slots[i] = Some(s);
     }
-}
-
-fn parse_string(bytes: &[char], pos: &mut usize) -> Result<String, String> {
-    skip_ws_at(bytes, pos);
-    if bytes.get(*pos) != Some(&'"') {
-        return Err("expected a string".into());
-    }
-    *pos += 1;
-    let mut s = String::new();
-    while let Some(&c) = bytes.get(*pos) {
-        *pos += 1;
-        match c {
-            '"' => return Ok(s),
-            '\\' => {
-                let Some(&e) = bytes.get(*pos) else {
-                    return Err("dangling escape".into());
-                };
-                *pos += 1;
-                match e {
-                    'n' => s.push('\n'),
-                    'r' => s.push('\r'),
-                    't' => s.push('\t'),
-                    '"' => s.push('"'),
-                    '\\' => s.push('\\'),
-                    '/' => s.push('/'),
-                    'u' => {
-                        let hex: String = bytes
-                            .get(*pos..*pos + 4)
-                            .map(|c| c.iter().collect())
-                            .unwrap_or_default();
-                        *pos += 4;
-                        let v = u32::from_str_radix(&hex, 16)
-                            .map_err(|_| "bad \\u escape".to_owned())?;
-                        s.push(char::from_u32(v).unwrap_or('\u{FFFD}'));
-                    }
-                    other => return Err(format!("unknown escape \\{other}")),
-                }
-            }
-            c => s.push(c),
-        }
-    }
-    Err("unterminated string".into())
-}
-
-/// Reverses [`escape`]: decodes the body of a JSON string (no surrounding
-/// quotes). Returns `None` for malformed escapes or raw `"` characters.
-pub fn unescape(s: &str) -> Option<String> {
-    let quoted: Vec<char> = std::iter::once('"')
-        .chain(s.chars())
-        .chain(std::iter::once('"'))
-        .collect();
-    let mut pos = 0usize;
-    let out = parse_string(&quoted, &mut pos).ok()?;
-    // A raw quote in `s` would terminate the string early.
-    (pos == quoted.len()).then_some(out)
-}
-
-fn parse_line(line: &str) -> Result<DataEntry, String> {
-    let mut fields = [None::<String>, None, None];
-    let names = ["instruct", "input", "output"];
-    let bytes: Vec<char> = line.chars().collect();
-    let mut pos = 0usize;
-    let expect = |pos: &mut usize, c: char| -> Result<(), String> {
-        skip_ws_at(&bytes, pos);
-        if bytes.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{c}` at offset {pos:?}", pos = *pos))
-        }
-    };
-    skip_ws_at(&bytes, &mut pos);
-    expect(&mut pos, '{')?;
-    loop {
-        let key = parse_string(&bytes, &mut pos)?;
-        expect(&mut pos, ':')?;
-        let value = parse_string(&bytes, &mut pos)?;
-        match names.iter().position(|n| *n == key) {
-            Some(i) => fields[i] = Some(value),
-            None => return Err(format!("unknown field `{key}`")),
-        }
-        skip_ws_at(&bytes, &mut pos);
-        match bytes.get(pos) {
-            Some(',') => {
-                pos += 1;
-                continue;
-            }
-            Some('}') => break,
-            _ => return Err("expected `,` or `}`".into()),
-        }
-    }
-    let [a, b, c] = fields;
+    let [instruct, input, output] = slots;
+    let need =
+        |v: Option<String>, i: usize| v.ok_or_else(|| format!("missing field `{}`", FIELDS[i]));
     Ok(DataEntry {
-        instruct: a.ok_or("missing field `instruct`")?,
-        input: b.ok_or("missing field `input`")?,
-        output: c.ok_or("missing field `output`")?,
+        instruct: need(instruct, 0)?,
+        input: need(input, 1)?,
+        output: need(output, 2)?,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn unescape_reverses_escape() {
-        for s in ["", "plain", "a\nb\t\"q\" \\x\\", "\u{1}\u{1f}", "§☃"] {
-            assert_eq!(unescape(&escape(s)).as_deref(), Some(s), "{s:?}");
-        }
-        assert_eq!(unescape("raw \" quote"), None);
-        assert_eq!(unescape("dangling \\"), None);
-        assert_eq!(unescape("bad \\q escape"), None);
-    }
 
     #[test]
     fn round_trip_simple() {
@@ -245,6 +147,11 @@ mod tests {
         assert!(from_jsonl("not json").is_err());
         assert!(from_jsonl("{\"instruct\": \"a\"}").is_err()); // missing fields
         assert!(from_jsonl("{\"bogus\": \"a\"}").is_err());
+        let number = r#"{"instruct": "a", "input": 3, "output": "c"}"#;
+        assert!(from_jsonl(number)
+            .unwrap_err()
+            .message
+            .contains("must be a string"));
     }
 
     #[test]
@@ -313,5 +220,36 @@ mod tests {
         assert_eq!(e.instruct, "§");
         assert_eq!(e.input, "☃");
         assert_eq!(e.output, "A");
+    }
+
+    #[test]
+    fn surrogate_pair_escapes_decode_to_one_scalar() {
+        // Python's `json.dumps` default (ensure_ascii) writes non-BMP
+        // characters as UTF-16 surrogate pairs.
+        let line = r#"{"instruct": "i", "input": "\ud83d\ude80", "output": "o"}"#;
+        assert_eq!(from_jsonl(line).unwrap()[0].input, "\u{1f680}");
+        let lone = r#"{"instruct": "i", "input": "\ud83d", "output": "o"}"#;
+        let err = from_jsonl(lone).unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(err.message.contains("lone surrogate"), "{err}");
+        let signed = r#"{"instruct": "i", "input": "\u+041", "output": "o"}"#;
+        assert!(from_jsonl(signed).is_err());
+    }
+
+    #[test]
+    fn trailing_bytes_are_a_line_numbered_error() {
+        let good = to_json_line(&DataEntry::new("a", "b", "c"));
+        let text = format!("{good}\n{good} GARBAGE\n");
+        let err = from_jsonl(&text).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("trailing bytes"), "{err}");
+    }
+
+    #[test]
+    fn duplicate_keys_are_rejected() {
+        // Neither the first nor the last value wins: the line is an error.
+        let line = r#"{"instruct": "a", "input": "b", "output": "c", "input": "d"}"#;
+        let err = from_jsonl(line).unwrap_err();
+        assert!(err.message.contains("duplicate key"), "{err}");
     }
 }

@@ -97,7 +97,7 @@ fn encode_stage(out: &mut String, st: &StageYield) {
         None => out.push_str("s off\n"),
         Some(Err(diag)) => {
             out.push_str("s err ");
-            out.push_str(&json::escape(diag));
+            dda_obs::event::escape_into(diag, out);
             out.push('\n');
         }
         Some(Ok(entries)) => {
@@ -119,7 +119,7 @@ fn decode_stage(lines: &mut std::str::Lines) -> Option<StageYield> {
         return Some(None);
     }
     if let Some(diag) = rest.strip_prefix("err ") {
-        return Some(Some(Err(json::unescape(diag)?)));
+        return Some(Some(Err(dda_obs::event::unescape(diag)?)));
     }
     let n: usize = rest.strip_prefix("ok ")?.parse().ok()?;
     let mut entries = Vec::with_capacity(n);
@@ -134,7 +134,8 @@ fn decode_stage(lines: &mut std::str::Lines) -> Option<StageYield> {
 
 /// Journal codec: a `m`/`e` tag line followed by one stage block per
 /// slot. Entry lines reuse the dataset's JSONL codec ([`crate::json`]),
-/// diagnostics its string escaping, so payloads survive any content.
+/// diagnostics the JSON string escaping of [`dda_obs::event`], so
+/// payloads survive any content.
 fn encode_yield(y: &UnitYield) -> String {
     let mut out = String::new();
     match y {

@@ -1,15 +1,13 @@
-//! Codec-parity tests between `dda_obs::event` and `dda_core::json`
-//! (satellite: event-record round-tripping). `dda-obs` sits below
-//! `dda-core` in the dependency graph and re-implements the RFC 8259
-//! minimal escaping rather than importing it; these tests pin the two
-//! implementations byte-for-byte, round-trip event records whose field
-//! values contain quotes, backslashes, and control characters, and check
-//! that `read_trace` shares the runtime journal's torn-tail tolerance.
+//! Event-record and journal tests over the shared `dda_obs::event` JSON
+//! codec (satellite: event-record round-tripping): event records whose
+//! field values contain quotes, backslashes, and control characters
+//! round-trip, `read_trace` shares the runtime journal's torn-tail
+//! tolerance, and the on-disk JSONL lines are pinned byte for byte.
 //!
 //! No global recorder state is touched here, so no serialization lock.
 
 use dda_core::json;
-use dda_obs::event::{encode, escape, parse};
+use dda_obs::event::{encode, parse};
 use dda_obs::{read_trace, Event, Value};
 use dda_runtime::Journal;
 use proptest::prelude::*;
@@ -31,32 +29,12 @@ const HOSTILE: [&str; 8] = [
     "path\\to\\\"file\".v",
 ];
 
-#[test]
-fn escape_matches_core_json_byte_for_byte() {
-    for s in HOSTILE {
-        assert_eq!(escape(s), json::escape(s), "{s:?}");
-    }
-}
-
-#[test]
-fn core_unescape_inverts_obs_escape() {
-    for s in HOSTILE {
-        assert_eq!(json::unescape(&escape(s)).as_deref(), Some(s), "{s:?}");
-    }
-}
-
 /// Generator covering every escape class: raw control characters
 /// (`U+0000`–`U+001F`), quotes, backslashes, plain ASCII, and multi-byte
 /// unicode.
 const FIELD_CHARS: &str = "[\u{0}-\u{1f}a-z \"\\\\λ模🚀]{0,60}";
 
 proptest! {
-    /// Parity holds on arbitrary strings, including raw control bytes.
-    #[test]
-    fn escape_parity_on_arbitrary_strings(s in FIELD_CHARS) {
-        prop_assert_eq!(escape(&s), json::escape(&s));
-    }
-
     /// Event records round-trip arbitrary field values through
     /// encode → parse.
     #[test]

@@ -16,16 +16,16 @@
 //!   `dda_core::intern::Sym`);
 //! * [`span`] — RAII wall-clock timers on the monotonic clock, aggregated
 //!   per name (count / total / min / max);
-//! * [`emit`] + [`event`] — structured JSONL trace events whose string
-//!   escaping mirrors `dda_core::json` (RFC 8259 minimal escapes), with a
+//! * [`emit`] + [`event`] — structured JSONL trace events with a
 //!   torn-tail-tolerant reader matching the runtime journal's semantics;
+//!   [`event`] is also the workspace's one JSON codec (escaping, the
+//!   flat-object writer and decoder) for datasets, journals and the
+//!   daemon's wire frames;
 //! * [`report`] — a plain-text end-of-run summary renderer.
 //!
 //! This crate sits at the **bottom** of the workspace dependency graph
 //! (std only, like the vendored shims), so `dda-runtime` — itself below
-//! `dda-core` — can use it too. That is also why the JSON escaping is
-//! re-implemented rather than imported; `dda-core`'s test suite
-//! cross-checks the two byte for byte.
+//! `dda-core` — can use it too, which is also why it owns the JSON codec.
 //!
 //! ## Cost model
 //!

@@ -6,13 +6,10 @@
 //! with its JSONL codec). Lines are flushed as they are written, so a
 //! killed run loses at most the line being written — and
 //! [`Journal::load`] tolerates exactly that by dropping a torn final
-//! line.
-//!
-//! The string escaping here mirrors `dda_core::json` (RFC 8259 minimal
-//! escapes); it is re-implemented rather than imported because this
-//! crate sits *below* `dda-core` in the dependency graph.
+//! line. Records are written and read with the workspace's one JSON
+//! codec, [`dda_obs::event`].
 
-use std::fmt::Write as _;
+use dda_obs::event::{decode_lines, decode_object, ObjectWriter, Value};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Read as _, Write as _};
 use std::path::{Path, PathBuf};
@@ -63,9 +60,10 @@ impl Journal {
     pub fn record(&mut self, unit: usize, payload: &str) -> io::Result<()> {
         dda_fail::fail_io!("journal.append")?;
         let mut line = String::with_capacity(payload.len() + 32);
-        let _ = write!(line, "{{\"unit\": {unit}, \"payload\": \"");
-        escape_into(payload, &mut line);
-        line.push_str("\"}\n");
+        let mut w = ObjectWriter::new(&mut line);
+        w.u64("unit", unit as u64).str("payload", payload);
+        w.finish();
+        line.push('\n');
         self.out.write_all(line.as_bytes())?;
         self.out.flush()
     }
@@ -130,96 +128,25 @@ impl Journal {
     }
 }
 
-/// Parses journal text into records plus the byte length of the sound
+/// Decodes journal text into records plus the byte length of the sound
 /// prefix (everything up to, but excluding, a torn final line).
 fn parse_text(text: &str, path: &Path) -> io::Result<(Vec<(usize, String)>, usize)> {
-    let pieces: Vec<&str> = text.split_inclusive('\n').collect();
-    let mut out = Vec::with_capacity(pieces.len());
-    let mut offset = 0usize;
-    let mut good_len = 0usize;
-    for (i, piece) in pieces.iter().enumerate() {
-        offset += piece.len();
-        let line = piece.trim_end_matches(['\n', '\r']);
-        if line.trim().is_empty() {
-            good_len = offset;
-            continue;
-        }
-        match parse_line(line) {
-            Some(rec) => {
-                out.push(rec);
-                good_len = offset;
-            }
-            None if i + 1 == pieces.len() => break, // torn tail from a kill
-            None => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{}: corrupt journal line {}", path.display(), i + 1),
-                ))
-            }
-        }
-    }
-    Ok((out, good_len))
+    let what = format!("{}: corrupt journal line", path.display());
+    decode_lines(text, &what, decode_record)
 }
 
-/// Escapes `s` per JSON string rules into `out`.
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Decodes one journal record, `{"unit": N, "payload": "..."}`; `None`
+/// when malformed (a torn write).
+fn decode_record(line: &str) -> Option<(usize, String)> {
+    let mut fields = decode_object(line).ok()?.into_iter();
+    match (fields.next()?, fields.next()?, fields.next()) {
+        ((u, Value::U64(unit)), (p, Value::Str(payload)), None)
+            if u == "unit" && p == "payload" =>
+        {
+            Some((usize::try_from(unit).ok()?, payload))
         }
+        _ => None,
     }
-}
-
-/// Parses one journal line; `None` when malformed (torn write).
-fn parse_line(line: &str) -> Option<(usize, String)> {
-    let rest = line.trim().strip_prefix("{\"unit\":")?.trim_start();
-    let digits_end = rest.find(|c: char| !c.is_ascii_digit())?;
-    let unit: usize = rest[..digits_end].parse().ok()?;
-    let rest = rest[digits_end..]
-        .trim_start()
-        .strip_prefix(',')?
-        .trim_start()
-        .strip_prefix("\"payload\":")?
-        .trim_start()
-        .strip_prefix('"')?;
-    // Unescape up to the closing quote; the line must end with `"}`.
-    let mut payload = String::with_capacity(rest.len());
-    let mut chars = rest.chars();
-    loop {
-        match chars.next()? {
-            '"' => break,
-            '\\' => match chars.next()? {
-                'n' => payload.push('\n'),
-                'r' => payload.push('\r'),
-                't' => payload.push('\t'),
-                '"' => payload.push('"'),
-                '\\' => payload.push('\\'),
-                '/' => payload.push('/'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    if hex.len() != 4 {
-                        return None;
-                    }
-                    let v = u32::from_str_radix(&hex, 16).ok()?;
-                    payload.push(char::from_u32(v)?);
-                }
-                _ => return None,
-            },
-            c => payload.push(c),
-        }
-    }
-    if chars.as_str().trim() != "}" {
-        return None;
-    }
-    Some((unit, payload))
 }
 
 #[cfg(test)]
@@ -331,6 +258,33 @@ mod tests {
         // Visible on disk while the journal is still open for writing.
         assert_eq!(Journal::load(&path).unwrap(), vec![(0, "durable".into())]);
         drop(j);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn records_from_other_writers_decode_surrogate_pairs() {
+        // Python's `json.dumps` escapes U+1F680 as a surrogate pair.
+        let path = tmp("surrogates");
+        std::fs::write(
+            &path,
+            "{\"unit\": 4, \"payload\": \"go \\ud83d\\ude80\"}\n\
+             {\"unit\": 5, \"payload\": \"ok\"}\n",
+        )
+        .unwrap();
+        assert_eq!(
+            Journal::load(&path).unwrap(),
+            vec![(4, "go \u{1f680}".into()), (5, "ok".into())]
+        );
+        // A lone surrogate, or a `\u` with a sign, is a corrupt line.
+        for bad in ["\\ud83d", "\\u+041"] {
+            std::fs::write(
+                &path,
+                format!("{{\"unit\": 4, \"payload\": \"{bad}\"}}\n{{\"unit\": 5, \"payload\": \"ok\"}}\n"),
+            )
+            .unwrap();
+            let err = Journal::load(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -54,7 +54,7 @@ pub fn parse(src: &str) -> Result<Script, ScParseError> {
         if line.is_empty() {
             continue;
         }
-        let stmt = parse_line(&line, lineno, &mut script.var)?;
+        let stmt = parse_stmt(&line, lineno, &mut script.var)?;
         script.stmts.push(stmt);
     }
     Ok(script)
@@ -79,7 +79,7 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-fn parse_line(line: &str, lineno: u32, var: &mut String) -> Result<ScStmt, ScParseError> {
+fn parse_stmt(line: &str, lineno: u32, var: &mut String) -> Result<ScStmt, ScParseError> {
     let err = |m: &str| ScParseError {
         line: lineno,
         message: m.to_owned(),

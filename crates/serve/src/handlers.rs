@@ -17,6 +17,7 @@ use dda_eval::generation::{
     TestbenchVerdict,
 };
 use dda_eval::{agent_batch, AgentBatchOptions, AgentProtocol};
+use dda_obs::event::ObjectWriter;
 use dda_runtime::CancelToken;
 use dda_slm::{GenOptions, ShardedTfIdf, Slm, SlmProfile, PROGRESSIVE_ORDER};
 use rand::{rngs::SmallRng, SeedableRng};
@@ -120,12 +121,6 @@ pub fn execute(cx: &HandlerCx, body: &ReqBody, token: &CancelToken) -> RespBody 
         return err;
     }
     let resp = match body {
-        ReqBody::Ping | ReqBody::Stats | ReqBody::Health | ReqBody::Ready | ReqBody::Shutdown => {
-            RespBody::Error {
-                code: ErrorCode::BadRequest,
-                message: format!("`{}` is a control verb, not pool work", body.verb()),
-            }
-        }
         ReqBody::Poison => {
             if cx.fault_injection {
                 panic!("poison request (fault injection enabled)");
@@ -200,6 +195,14 @@ pub fn execute(cx: &HandlerCx, body: &ReqBody, token: &CancelToken) -> RespBody 
             *runs,
             token,
         ),
+        // Every other verb is control plane, answered inline by the service.
+        control => {
+            debug_assert!(control.is_control());
+            RespBody::Error {
+                code: ErrorCode::BadRequest,
+                message: format!("`{}` is a control verb, not pool work", control.verb()),
+            }
+        }
     };
     // CPU-bound stages (augment, repair) don't poll the token; surface an
     // expired deadline instead of returning work the client gave up on.
@@ -221,15 +224,10 @@ fn run_augment(name: &str, source: &str, seed: u64) -> RespBody {
     };
     let mut rng = SmallRng::seed_from_u64(seed);
     let (ds, report) = pipeline::augment(std::slice::from_ref(&module), &opts, &mut rng);
-    let mut jsonl = String::new();
-    for (_kind, entry) in ds.iter() {
-        jsonl.push_str(&dda_core::json::to_json_line(entry));
-        jsonl.push('\n');
-    }
     RespBody::Augmented {
         entries: ds.len() as u64,
         quarantined: report.quarantines.len() as u64,
-        jsonl,
+        jsonl: dda_core::json::to_jsonl(ds.iter().map(|(_kind, entry)| entry)),
     }
 }
 
@@ -243,13 +241,13 @@ fn run_retrieve(cx: &HandlerCx, query: &str, k: u64) -> RespBody {
     let mut jsonl = String::new();
     for h in &hits {
         let m = &cx.retrieve_corpus[h.id as usize];
-        jsonl.push_str(&format!(
-            "{{\"id\": {}, \"score\": {}, \"name\": \"{}\", \"source\": \"{}\"}}\n",
-            h.id,
-            h.score,
-            dda_core::json::escape(&m.name),
-            dda_core::json::escape(&m.source),
-        ));
+        let mut w = ObjectWriter::new(&mut jsonl);
+        w.u64("id", h.id)
+            .f64("score", h.score)
+            .str("name", &m.name)
+            .str("source", &m.source);
+        w.finish();
+        jsonl.push('\n');
     }
     RespBody::Retrieved {
         count: hits.len() as u64,
@@ -311,11 +309,15 @@ fn run_agent(
     let out = agent_batch(&cx.slm, p, level, &context, &opts);
     let mut jsonl = String::new();
     for c in &out.chains {
-        jsonl.push_str(&format!(
-            "{{\"chain\": {}, \"rounds\": {}, \"lint\": {}, \"function\": {}, \
-             \"repaired\": {}, \"cancelled\": {}}}\n",
-            c.chain, c.rounds, c.lint_clean, c.function, c.repaired_by_loop, c.cancelled,
-        ));
+        let mut w = ObjectWriter::new(&mut jsonl);
+        w.u64("chain", c.chain as u64)
+            .u64("rounds", c.rounds as u64)
+            .bool("lint", c.lint_clean)
+            .f64("function", c.function)
+            .bool("repaired", c.repaired_by_loop)
+            .bool("cancelled", c.cancelled);
+        w.finish();
+        jsonl.push('\n');
     }
     RespBody::AgentReport {
         passed: out.passed(),
@@ -612,7 +614,7 @@ mod tests {
                 );
                 assert!(first.contains(&format!(
                     "\"name\": \"{}\"",
-                    dda_core::json::escape(&target.name)
+                    dda_obs::event::escape(&target.name)
                 )));
             }
             other => panic!("unexpected response: {other:?}"),

@@ -1,9 +1,8 @@
 //! Typed request/response messages and their JSON object codec.
 //!
-//! One frame ([`crate::wire`]) carries one flat JSON object, reusing the
-//! `dda_obs::event` codec (the same escaping/parsing the trace files
-//! use, already cross-checked byte-for-byte against `dda_core::json`).
-//! Requests use the verb as the `"ev"` kind:
+//! One frame ([`crate::wire`]) carries one flat JSON object, written and
+//! read with the workspace's one JSON codec, `dda_obs::event`. Requests
+//! use the verb as the `"ev"` kind:
 //!
 //! ```json
 //! {"ev": "score", "id": 7, "priority": "high", "deadline_ms": 2000,
@@ -25,8 +24,13 @@
 //! fields, wrong field types are [`ProtoError`]s that become structured
 //! `bad_request` responses, never panics) and lenient where it helps
 //! (unknown *extra* fields are ignored, so the protocol can grow).
+//!
+//! Each verb's fields are declared once, in wire order, with a rule
+//! giving the default a frame may omit and whether that default stays
+//! off the wire; the encoder, the decoder and the verb names all expand
+//! from that one declaration (`wire_verbs!`).
 
-use dda_obs::event::{encode, parse, Event, Value};
+use dda_obs::event::{decode_object, ObjectWriter, Value};
 use dda_runtime::Priority;
 
 /// Ceiling on the simulator deadline a request may ask for, so one
@@ -167,20 +171,7 @@ pub enum ReqBody {
 impl ReqBody {
     /// The wire verb for this body.
     pub fn verb(&self) -> &'static str {
-        match self {
-            ReqBody::Ping => "ping",
-            ReqBody::Stats => "stats",
-            ReqBody::Health => "health",
-            ReqBody::Ready => "ready",
-            ReqBody::Shutdown => "shutdown",
-            ReqBody::Augment { .. } => "augment",
-            ReqBody::Generate { .. } => "generate",
-            ReqBody::Repair { .. } => "repair",
-            ReqBody::Score { .. } => "score",
-            ReqBody::Retrieve { .. } => "retrieve",
-            ReqBody::Agent { .. } => "agent",
-            ReqBody::Poison => "poison",
-        }
+        self.key()
     }
 
     /// Whether the service answers this verb inline on the connection
@@ -225,27 +216,22 @@ pub enum ErrorCode {
     Shutdown,
 }
 
+/// Each error code's stable wire string.
+const ERROR_CODES: [(ErrorCode, &str); 5] = [
+    (ErrorCode::Overloaded, "overloaded"),
+    (ErrorCode::BadRequest, "bad_request"),
+    (ErrorCode::Deadline, "deadline"),
+    (ErrorCode::Panic, "panic"),
+    (ErrorCode::Shutdown, "shutdown"),
+];
+
+/// Each priority's wire string.
+const PRIORITIES: [(Priority, &str); 2] = [(Priority::Normal, "normal"), (Priority::High, "high")];
+
 impl ErrorCode {
     /// Stable wire string.
     pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorCode::Overloaded => "overloaded",
-            ErrorCode::BadRequest => "bad_request",
-            ErrorCode::Deadline => "deadline",
-            ErrorCode::Panic => "panic",
-            ErrorCode::Shutdown => "shutdown",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<ErrorCode> {
-        Some(match s {
-            "overloaded" => ErrorCode::Overloaded,
-            "bad_request" => ErrorCode::BadRequest,
-            "deadline" => ErrorCode::Deadline,
-            "panic" => ErrorCode::Panic,
-            "shutdown" => ErrorCode::Shutdown,
-            _ => return None,
-        })
+        word(&ERROR_CODES, self)
     }
 }
 
@@ -412,142 +398,241 @@ fn bad(message: impl Into<String>) -> ProtoError {
     }
 }
 
-fn req_str(ev: &Event, name: &str) -> Result<String, ProtoError> {
-    match ev.field(name) {
-        Some(Value::Str(s)) => Ok(s.clone()),
-        Some(_) => Err(bad(format!("field `{name}` must be a string"))),
-        None => Err(bad(format!("missing field `{name}`"))),
+/// How one field meets the wire: the default a frame may leave out, and
+/// whether that default is written.
+#[derive(Clone, Copy)]
+enum Rule<D> {
+    /// Required on decode; always written.
+    Need,
+    /// Defaults to `D` when absent; always written.
+    Keep(D),
+    /// Defaults to `D` when absent and stays off the wire when equal to
+    /// it, so frames from before the field existed are byte-identical.
+    Omit(D),
+}
+
+use Rule::{Keep, Need, Omit};
+
+/// A type one wire field holds.
+trait Field: Sized + PartialEq {
+    /// How a default of this type is spelled in a [`Rule`].
+    type Default: Copy;
+    /// What a mistyped value should have been, for the error message.
+    const WANT: &'static str;
+    fn from_default(d: Self::Default) -> Self;
+    fn read(v: Value) -> Option<Self>;
+    fn write(&self, name: &str, w: &mut ObjectWriter<'_>);
+}
+
+/// Implements [`Field`] for a type read from the listed [`Value`]
+/// shapes and written by one [`ObjectWriter`] method, or for an enum
+/// written as its word in a `(variant, word)` table.
+macro_rules! field {
+    ($T:ty, $Default:ty, $want:literal, $write:ident($($deref:tt)?), $($shape:pat => $v:expr),+) => {
+        impl Field for $T {
+            type Default = $Default;
+            const WANT: &'static str = $want;
+            fn from_default(d: $Default) -> $T {
+                d.into()
+            }
+            fn read(v: Value) -> Option<$T> {
+                match v {
+                    $($shape => Some($v),)+
+                    _ => None,
+                }
+            }
+            fn write(&self, name: &str, w: &mut ObjectWriter<'_>) {
+                w.$write(name, $($deref)? self);
+            }
+        }
+    };
+    ($T:ty, $table:expr, $want:literal) => {
+        impl Field for $T {
+            type Default = $T;
+            const WANT: &'static str = $want;
+            fn from_default(d: $T) -> $T {
+                d
+            }
+            fn read(v: Value) -> Option<$T> {
+                let Value::Str(s) = v else { return None };
+                $table.iter().find(|(_, w)| *w == s).map(|(t, _)| *t)
+            }
+            fn write(&self, name: &str, w: &mut ObjectWriter<'_>) {
+                w.str(name, word(&$table, *self));
+            }
+        }
+    };
+}
+
+field!(String, &'static str, "a string", str(), Value::Str(s) => s);
+field!(u64, u64, "a non-negative integer", u64(*), Value::U64(n) => n);
+field!(bool, bool, "a boolean", bool(*), Value::Bool(b) => b);
+field!(f64, f64, "a number", f64(*),
+    Value::F64(x) => x, Value::U64(n) => n as f64, Value::I64(n) => n as f64);
+field!(Priority, PRIORITIES, "`normal` or `high`");
+field!(ErrorCode, ERROR_CODES, "a known error code");
+
+/// An optional field: `None` is never written, and `Omit(None)` decodes
+/// an absent field as `None`.
+impl<T: Field> Field for Option<T> {
+    type Default = Option<T::Default>;
+    const WANT: &'static str = T::WANT;
+    fn from_default(d: Self::Default) -> Self {
+        d.map(T::from_default)
+    }
+    fn read(v: Value) -> Option<Self> {
+        T::read(v).map(Some)
+    }
+    fn write(&self, name: &str, w: &mut ObjectWriter<'_>) {
+        if let Some(v) = self {
+            v.write(name, w);
+        }
     }
 }
 
-fn opt_str(ev: &Event, name: &str) -> Result<Option<String>, ProtoError> {
-    match ev.field(name) {
-        Some(Value::Str(s)) => Ok(Some(s.clone())),
-        Some(_) => Err(bad(format!("field `{name}` must be a string"))),
-        None => Ok(None),
+fn word<T: Copy + PartialEq>(table: &[(T, &'static str)], v: T) -> &'static str {
+    let found = table.iter().find(|(t, _)| *t == v);
+    found
+        .map(|(_, w)| *w)
+        .expect("word tables list every variant")
+}
+
+/// Writes `v` as field `name` unless `rule` keeps its value off the wire.
+fn put<T: Field>(w: &mut ObjectWriter<'_>, name: &str, v: &T, rule: Rule<T::Default>) {
+    if !matches!(rule, Omit(d) if *v == T::from_default(d)) {
+        v.write(name, w);
     }
 }
 
-fn opt_u64(ev: &Event, name: &str) -> Result<Option<u64>, ProtoError> {
-    match ev.field(name) {
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| bad(format!("field `{name}` must be a non-negative integer"))),
-        None => Ok(None),
+/// A decoded frame's fields, moved out by name as the declarations ask
+/// for them; fields nobody asks for are ignored.
+struct Dec(Vec<(String, Value)>);
+
+impl Dec {
+    fn new(line: &str) -> Result<Dec, ProtoError> {
+        decode_object(line)
+            .map(Dec)
+            .map_err(|e| bad(format!("invalid JSON object: {e}")))
+    }
+
+    /// Takes field `name`, or the default `rule` gives an absent one.
+    fn get<T: Field>(&mut self, name: &str, rule: Rule<T::Default>) -> Result<T, ProtoError> {
+        let Some(at) = self.0.iter().position(|(n, _)| n == name) else {
+            return match rule {
+                Need => Err(bad(format!("missing field `{name}`"))),
+                Keep(d) | Omit(d) => Ok(T::from_default(d)),
+            };
+        };
+        T::read(self.0.swap_remove(at).1)
+            .ok_or_else(|| bad(format!("field `{name}` must be {}", T::WANT)))
     }
 }
 
-fn opt_f64(ev: &Event, name: &str) -> Result<Option<f64>, ProtoError> {
-    match ev.field(name) {
-        Some(Value::F64(v)) => Ok(Some(*v)),
-        Some(Value::U64(v)) => Ok(Some(*v as f64)),
-        Some(Value::I64(v)) => Ok(Some(*v as f64)),
-        Some(_) => Err(bad(format!("field `{name}` must be a number"))),
-        None => Ok(None),
-    }
+/// Declares a message body enum's wire form once: each variant's key
+/// (its verb) and its fields in wire order with their [`Rule`]s. Expands
+/// to `key` (variant → key), `put_fields` (the encoder) and `get_fields`
+/// (key → decoded variant, `None` for an unknown key), so the three
+/// cannot drift apart. A `Variant(Struct { ... })` entry declares the
+/// fields of a newtype variant's struct.
+macro_rules! wire_verbs {
+    ($Body:ident {
+        $($key:literal => $Var:ident
+            $(($Inner:ident { $($i:ident: $irule:expr),* $(,)? }))?
+            $({ $($f:ident: $rule:expr),* $(,)? })?
+        ),* $(,)?
+    }) => {
+        impl $Body {
+            fn key(&self) -> &'static str {
+                match self {
+                    $($Body::$Var { .. } => $key,)*
+                }
+            }
+
+            fn put_fields(&self, w: &mut ObjectWriter<'_>) {
+                match self {
+                    $($Body::$Var $(($Inner { $($i),* }))? $({ $($f),* })? => {
+                        $($(put(w, stringify!($i), $i, $irule);)*)?
+                        $($(put(w, stringify!($f), $f, $rule);)*)?
+                    })*
+                }
+            }
+
+            fn get_fields(key: &str, d: &mut Dec) -> Result<Option<$Body>, ProtoError> {
+                Ok(Some(match key {
+                    $($key => $Body::$Var
+                        $(($Inner { $($i: d.get(stringify!($i), $irule)?),* }))?
+                        $({ $($f: d.get(stringify!($f), $rule)?),* })?,)*
+                    _ => return Ok(None),
+                }))
+            }
+        }
+    };
 }
+
+wire_verbs!(ReqBody {
+    "ping" => Ping,
+    "stats" => Stats,
+    "health" => Health,
+    "ready" => Ready,
+    "shutdown" => Shutdown,
+    "augment" => Augment { name: Need, source: Need, seed: Keep(2024) },
+    "generate" => Generate {
+        instruct: Keep(dda_core::align::ALIGN_INSTRUCT), prompt: Need, temperature: Keep(0.1),
+        seed: Keep(99),
+    },
+    "repair" => Repair { name: Keep("broken"), source: Need, budget: Keep(200) },
+    "score" => Score {
+        source: Need, problem: Omit(None), testbench: Omit(None), runs: Omit(1), top: Keep("tb"),
+    },
+    "retrieve" => Retrieve { query: Need, k: Keep(5) },
+    "agent" => Agent {
+        problem: Need, level: Omit(DEFAULT_AGENT_LEVEL), k: Omit(DEFAULT_AGENT_K),
+        rounds: Omit(DEFAULT_AGENT_ROUNDS), early_exit: Omit(false), rag_k: Omit(0),
+        runs: Omit(1), seed: Omit(DEFAULT_AGENT_SEED),
+    },
+    "poison" => Poison,
+});
+
+wire_verbs!(RespBody {
+    "ping" => Pong,
+    "stats" => Stats(StatsBody {
+        admitted: Keep(0), completed: Keep(0), shed: Keep(0), timed_out: Keep(0), panics: Keep(0),
+        queue_depth: Keep(0), cache_hits: Keep(0), cache_misses: Keep(0),
+        cache_evictions: Keep(0), cache_resident: Keep(0), dropped: Keep(0), replayed: Keep(0),
+    }),
+    "shutdown" => ShuttingDown,
+    "health" => Health {
+        uptime_ms: Keep(0), generation: Keep(0), replayed: Keep(0), failpoints: Keep(false),
+    },
+    "ready" => Ready { ready: Keep(false) },
+    "augment" => Augmented { entries: Keep(0), quarantined: Keep(0), jsonl: Need },
+    "generate" => Generated { output: Need },
+    "repair" => Repaired { source: Need, clean: Keep(false), cost: Keep(0) },
+    "score" => Scored { verdict: Need, pass_rate: Keep(0.0), detail: Keep(""), lanes: Omit(1) },
+    "retrieve" => Retrieved { count: Keep(0), jsonl: Need },
+    "agent" => AgentReport {
+        passed: Keep(false), winner: Omit(None), chains: Keep(0), rounds_total: Keep(0),
+        quarantined: Omit(0), jsonl: Need,
+    },
+    // Keyed by the `error` status, whatever the echoed verb.
+    "error" => Error { code: Need, message: Need },
+});
+
+/// `priority` is written only when not the default.
+const PRIORITY: Rule<Priority> = Omit(Priority::Normal);
 
 impl Request {
     /// Encodes to one JSON line (the frame payload).
     pub fn to_line(&self) -> String {
-        let mut ev = Event::new(self.body.verb()).u64("id", self.id);
-        if self.priority == Priority::High {
-            ev = ev.str("priority", "high");
-        }
-        if let Some(ms) = self.deadline_ms {
-            ev = ev.u64("deadline_ms", ms);
-        }
-        ev = match &self.body {
-            ReqBody::Ping
-            | ReqBody::Stats
-            | ReqBody::Health
-            | ReqBody::Ready
-            | ReqBody::Shutdown
-            | ReqBody::Poison => ev,
-            ReqBody::Augment { name, source, seed } => ev
-                .str("name", name.clone())
-                .str("source", source.clone())
-                .u64("seed", *seed),
-            ReqBody::Generate {
-                instruct,
-                prompt,
-                temperature,
-                seed,
-            } => ev
-                .str("instruct", instruct.clone())
-                .str("prompt", prompt.clone())
-                .f64("temperature", *temperature)
-                .u64("seed", *seed),
-            ReqBody::Repair {
-                name,
-                source,
-                budget,
-            } => ev
-                .str("name", name.clone())
-                .str("source", source.clone())
-                .u64("budget", *budget),
-            ReqBody::Score {
-                source,
-                problem,
-                testbench,
-                top,
-                runs,
-            } => {
-                let mut ev = ev.str("source", source.clone());
-                if let Some(p) = problem {
-                    ev = ev.str("problem", p.clone());
-                }
-                if let Some(t) = testbench {
-                    ev = ev.str("testbench", t.clone());
-                }
-                // `runs: 1` stays off the wire so pre-batch frames (and
-                // their goldens) are byte-identical.
-                if *runs != 1 {
-                    ev = ev.u64("runs", *runs);
-                }
-                ev.str("top", top.clone())
-            }
-            ReqBody::Retrieve { query, k } => ev.str("query", query.clone()).u64("k", *k),
-            ReqBody::Agent {
-                problem,
-                level,
-                k,
-                rounds,
-                early_exit,
-                rag_k,
-                runs,
-                seed,
-            } => {
-                // Default-valued knobs stay off the wire so the common
-                // frame (paper protocol, no RAG, scalar scoring) is
-                // minimal and byte-stable.
-                let mut ev = ev.str("problem", problem.clone());
-                if *level != DEFAULT_AGENT_LEVEL {
-                    ev = ev.u64("level", *level);
-                }
-                if *k != DEFAULT_AGENT_K {
-                    ev = ev.u64("k", *k);
-                }
-                if *rounds != DEFAULT_AGENT_ROUNDS {
-                    ev = ev.u64("rounds", *rounds);
-                }
-                if *early_exit {
-                    ev = ev.bool("early_exit", true);
-                }
-                if *rag_k != 0 {
-                    ev = ev.u64("rag_k", *rag_k);
-                }
-                if *runs != 1 {
-                    ev = ev.u64("runs", *runs);
-                }
-                if *seed != DEFAULT_AGENT_SEED {
-                    ev = ev.u64("seed", *seed);
-                }
-                ev
-            }
-        };
-        encode(&ev)
+        let mut out = String::with_capacity(128);
+        let mut w = ObjectWriter::new(&mut out);
+        w.str("ev", self.body.key());
+        put(&mut w, "id", &self.id, Need);
+        put(&mut w, "priority", &self.priority, PRIORITY);
+        put(&mut w, "deadline_ms", &self.deadline_ms, Omit(None));
+        self.body.put_fields(&mut w);
+        w.finish();
+        out
     }
 
     /// Decodes a frame payload.
@@ -557,82 +642,55 @@ impl Request {
     /// [`ProtoError`] for malformed JSON, unknown verbs, missing or
     /// mistyped fields — the caller answers with `bad_request`.
     pub fn from_line(line: &str) -> Result<Request, ProtoError> {
-        let ev = parse(line).ok_or_else(|| bad("invalid JSON object"))?;
-        let id = opt_u64(&ev, "id")?.ok_or_else(|| bad("missing field `id`"))?;
-        let priority = match opt_str(&ev, "priority")?.as_deref() {
-            None | Some("normal") => Priority::Normal,
-            Some("high") => Priority::High,
-            Some(other) => return Err(bad(format!("unknown priority `{other}`"))),
+        let mut d = Dec::new(line)?;
+        let verb: String = d.get("ev", Need)?;
+        let mut req = Request {
+            id: d.get("id", Need)?,
+            priority: d.get("priority", PRIORITY)?,
+            deadline_ms: d.get("deadline_ms", Omit(None))?,
+            body: ReqBody::get_fields(&verb, &mut d)?
+                .ok_or_else(|| bad(format!("unknown verb `{verb}`")))?,
         };
-        let deadline_ms = opt_u64(&ev, "deadline_ms")?.map(|ms| ms.min(MAX_DEADLINE_MS));
-        let body = match ev.kind.as_str() {
-            "ping" => ReqBody::Ping,
-            "stats" => ReqBody::Stats,
-            "health" => ReqBody::Health,
-            "ready" => ReqBody::Ready,
-            "shutdown" => ReqBody::Shutdown,
-            "poison" => ReqBody::Poison,
-            "augment" => ReqBody::Augment {
-                name: req_str(&ev, "name")?,
-                source: req_str(&ev, "source")?,
-                seed: opt_u64(&ev, "seed")?.unwrap_or(2024),
-            },
-            "generate" => ReqBody::Generate {
-                instruct: opt_str(&ev, "instruct")?
-                    .unwrap_or_else(|| dda_core::align::ALIGN_INSTRUCT.to_string()),
-                prompt: req_str(&ev, "prompt")?,
-                temperature: opt_f64(&ev, "temperature")?.unwrap_or(0.1),
-                seed: opt_u64(&ev, "seed")?.unwrap_or(99),
-            },
-            "repair" => ReqBody::Repair {
-                name: opt_str(&ev, "name")?.unwrap_or_else(|| "broken".to_string()),
-                source: req_str(&ev, "source")?,
-                budget: opt_u64(&ev, "budget")?.unwrap_or(200),
-            },
-            "score" => {
-                let problem = opt_str(&ev, "problem")?;
-                let testbench = opt_str(&ev, "testbench")?;
+        req.settle()?;
+        Ok(req)
+    }
+
+    /// The decode-time policy a field declaration cannot state: the
+    /// clamps that bound what one request may ask of a worker, and
+    /// `score`'s exactly-one-of `problem` and `testbench`.
+    fn settle(&mut self) -> Result<(), ProtoError> {
+        let lanes = dda_sim::MAX_BATCH_LANES as u64;
+        if let Some(ms) = &mut self.deadline_ms {
+            *ms = (*ms).min(MAX_DEADLINE_MS);
+        }
+        match &mut self.body {
+            ReqBody::Score {
+                problem,
+                testbench,
+                runs,
+                ..
+            } => {
                 if problem.is_some() == testbench.is_some() {
                     return Err(bad("score needs exactly one of `problem` or `testbench`"));
                 }
-                ReqBody::Score {
-                    source: req_str(&ev, "source")?,
-                    problem,
-                    testbench,
-                    top: opt_str(&ev, "top")?.unwrap_or_else(|| "tb".to_string()),
-                    runs: opt_u64(&ev, "runs")?
-                        .unwrap_or(1)
-                        .clamp(1, dda_sim::MAX_BATCH_LANES as u64),
-                }
+                *runs = (*runs).clamp(1, lanes);
             }
-            "retrieve" => ReqBody::Retrieve {
-                query: req_str(&ev, "query")?,
-                k: opt_u64(&ev, "k")?.unwrap_or(5).clamp(1, MAX_RETRIEVE_K),
-            },
-            "agent" => ReqBody::Agent {
-                problem: req_str(&ev, "problem")?,
-                level: opt_u64(&ev, "level")?.unwrap_or(DEFAULT_AGENT_LEVEL),
-                k: opt_u64(&ev, "k")?
-                    .unwrap_or(DEFAULT_AGENT_K)
-                    .clamp(1, MAX_AGENT_K),
-                rounds: opt_u64(&ev, "rounds")?
-                    .unwrap_or(DEFAULT_AGENT_ROUNDS)
-                    .min(MAX_AGENT_ROUNDS),
-                early_exit: matches!(ev.field("early_exit"), Some(Value::Bool(true))),
-                rag_k: opt_u64(&ev, "rag_k")?.unwrap_or(0).min(MAX_RETRIEVE_K),
-                runs: opt_u64(&ev, "runs")?
-                    .unwrap_or(1)
-                    .clamp(1, dda_sim::MAX_BATCH_LANES as u64),
-                seed: opt_u64(&ev, "seed")?.unwrap_or(DEFAULT_AGENT_SEED),
-            },
-            other => return Err(bad(format!("unknown verb `{other}`"))),
-        };
-        Ok(Request {
-            id,
-            priority,
-            deadline_ms,
-            body,
-        })
+            ReqBody::Retrieve { k, .. } => *k = (*k).clamp(1, MAX_RETRIEVE_K),
+            ReqBody::Agent {
+                k,
+                rounds,
+                rag_k,
+                runs,
+                ..
+            } => {
+                *k = (*k).clamp(1, MAX_AGENT_K);
+                *rounds = (*rounds).min(MAX_AGENT_ROUNDS);
+                *rag_k = (*rag_k).min(MAX_RETRIEVE_K);
+                *runs = (*runs).clamp(1, lanes);
+            }
+            _ => {}
+        }
+        Ok(())
     }
 }
 
@@ -656,101 +714,20 @@ impl Response {
 
     /// Encodes to one JSON line (the frame payload).
     pub fn to_line(&self) -> String {
-        let ev = Event::new("response")
-            .u64("id", self.id)
-            .str("verb", self.verb.clone());
-        let ev = match &self.body {
-            RespBody::Error { code, message } => ev
-                .str("status", "error")
-                .str("code", code.as_str())
-                .str("message", message.clone()),
-            ok => {
-                let ev = ev.str("status", "ok");
-                match ok {
-                    RespBody::Pong | RespBody::ShuttingDown => ev,
-                    RespBody::Stats(s) => ev
-                        .u64("admitted", s.admitted)
-                        .u64("completed", s.completed)
-                        .u64("shed", s.shed)
-                        .u64("timed_out", s.timed_out)
-                        .u64("panics", s.panics)
-                        .u64("queue_depth", s.queue_depth)
-                        .u64("cache_hits", s.cache_hits)
-                        .u64("cache_misses", s.cache_misses)
-                        .u64("cache_evictions", s.cache_evictions)
-                        .u64("cache_resident", s.cache_resident)
-                        .u64("dropped", s.dropped)
-                        .u64("replayed", s.replayed),
-                    RespBody::Health {
-                        uptime_ms,
-                        generation,
-                        replayed,
-                        failpoints,
-                    } => ev
-                        .u64("uptime_ms", *uptime_ms)
-                        .u64("generation", *generation)
-                        .u64("replayed", *replayed)
-                        .bool("failpoints", *failpoints),
-                    RespBody::Ready { ready } => ev.bool("ready", *ready),
-                    RespBody::Augmented {
-                        entries,
-                        quarantined,
-                        jsonl,
-                    } => ev
-                        .u64("entries", *entries)
-                        .u64("quarantined", *quarantined)
-                        .str("jsonl", jsonl.clone()),
-                    RespBody::Generated { output } => ev.str("output", output.clone()),
-                    RespBody::Repaired {
-                        source,
-                        clean,
-                        cost,
-                    } => ev
-                        .str("source", source.clone())
-                        .bool("clean", *clean)
-                        .u64("cost", *cost),
-                    RespBody::Scored {
-                        verdict,
-                        pass_rate,
-                        detail,
-                        lanes,
-                    } => {
-                        let ev = ev
-                            .str("verdict", verdict.clone())
-                            .f64("pass_rate", *pass_rate)
-                            .str("detail", detail.clone());
-                        if *lanes != 1 {
-                            ev.u64("lanes", *lanes)
-                        } else {
-                            ev
-                        }
-                    }
-                    RespBody::Retrieved { count, jsonl } => {
-                        ev.u64("count", *count).str("jsonl", jsonl.clone())
-                    }
-                    RespBody::AgentReport {
-                        passed,
-                        winner,
-                        chains,
-                        rounds_total,
-                        quarantined,
-                        jsonl,
-                    } => {
-                        let mut ev = ev.bool("passed", *passed);
-                        if let Some(w) = winner {
-                            ev = ev.u64("winner", *w);
-                        }
-                        ev = ev.u64("chains", *chains).u64("rounds_total", *rounds_total);
-                        if *quarantined != 0 {
-                            ev = ev.u64("quarantined", *quarantined);
-                        }
-                        ev.str("jsonl", jsonl.clone())
-                    }
-                    RespBody::Error { .. } => unreachable!("handled above"),
-                }
-            }
+        let mut out = String::with_capacity(128);
+        let mut w = ObjectWriter::new(&mut out);
+        let status = if self.body.key() == "error" {
+            "error"
+        } else {
+            "ok"
         };
-        encode(&ev)
+        w.str("ev", "response")
+            .u64("id", self.id)
+            .str("verb", &self.verb)
+            .str("status", status);
+        self.body.put_fields(&mut w);
+        w.finish();
+        out
     }
 
     /// Decodes a frame payload.
@@ -760,83 +737,21 @@ impl Response {
     /// [`ProtoError`] for anything that is not a well-formed response
     /// object.
     pub fn from_line(line: &str) -> Result<Response, ProtoError> {
-        let ev = parse(line).ok_or_else(|| bad("invalid JSON object"))?;
-        if ev.kind != "response" {
-            return Err(bad(format!("expected a response, got `{}`", ev.kind)));
+        let mut d = Dec::new(line)?;
+        let kind: String = d.get("ev", Need)?;
+        if kind != "response" {
+            return Err(bad(format!("expected a response, got `{kind}`")));
         }
-        let id = opt_u64(&ev, "id")?.ok_or_else(|| bad("missing field `id`"))?;
-        let verb = req_str(&ev, "verb")?;
-        let status = req_str(&ev, "status")?;
-        let body = match status.as_str() {
-            "error" => {
-                let code_s = req_str(&ev, "code")?;
-                RespBody::Error {
-                    code: ErrorCode::from_str(&code_s)
-                        .ok_or_else(|| bad(format!("unknown error code `{code_s}`")))?,
-                    message: req_str(&ev, "message")?,
-                }
-            }
-            "ok" => match verb.as_str() {
-                "ping" => RespBody::Pong,
-                "shutdown" => RespBody::ShuttingDown,
-                "stats" => RespBody::Stats(StatsBody {
-                    admitted: opt_u64(&ev, "admitted")?.unwrap_or(0),
-                    completed: opt_u64(&ev, "completed")?.unwrap_or(0),
-                    shed: opt_u64(&ev, "shed")?.unwrap_or(0),
-                    timed_out: opt_u64(&ev, "timed_out")?.unwrap_or(0),
-                    panics: opt_u64(&ev, "panics")?.unwrap_or(0),
-                    queue_depth: opt_u64(&ev, "queue_depth")?.unwrap_or(0),
-                    cache_hits: opt_u64(&ev, "cache_hits")?.unwrap_or(0),
-                    cache_misses: opt_u64(&ev, "cache_misses")?.unwrap_or(0),
-                    cache_evictions: opt_u64(&ev, "cache_evictions")?.unwrap_or(0),
-                    cache_resident: opt_u64(&ev, "cache_resident")?.unwrap_or(0),
-                    dropped: opt_u64(&ev, "dropped")?.unwrap_or(0),
-                    replayed: opt_u64(&ev, "replayed")?.unwrap_or(0),
-                }),
-                "health" => RespBody::Health {
-                    uptime_ms: opt_u64(&ev, "uptime_ms")?.unwrap_or(0),
-                    generation: opt_u64(&ev, "generation")?.unwrap_or(0),
-                    replayed: opt_u64(&ev, "replayed")?.unwrap_or(0),
-                    failpoints: matches!(ev.field("failpoints"), Some(Value::Bool(true))),
-                },
-                "ready" => RespBody::Ready {
-                    ready: matches!(ev.field("ready"), Some(Value::Bool(true))),
-                },
-                "augment" => RespBody::Augmented {
-                    entries: opt_u64(&ev, "entries")?.unwrap_or(0),
-                    quarantined: opt_u64(&ev, "quarantined")?.unwrap_or(0),
-                    jsonl: req_str(&ev, "jsonl")?,
-                },
-                "generate" => RespBody::Generated {
-                    output: req_str(&ev, "output")?,
-                },
-                "repair" => RespBody::Repaired {
-                    source: req_str(&ev, "source")?,
-                    clean: matches!(ev.field("clean"), Some(Value::Bool(true))),
-                    cost: opt_u64(&ev, "cost")?.unwrap_or(0),
-                },
-                "score" => RespBody::Scored {
-                    verdict: req_str(&ev, "verdict")?,
-                    pass_rate: opt_f64(&ev, "pass_rate")?.unwrap_or(0.0),
-                    detail: opt_str(&ev, "detail")?.unwrap_or_default(),
-                    lanes: opt_u64(&ev, "lanes")?.unwrap_or(1),
-                },
-                "retrieve" => RespBody::Retrieved {
-                    count: opt_u64(&ev, "count")?.unwrap_or(0),
-                    jsonl: req_str(&ev, "jsonl")?,
-                },
-                "agent" => RespBody::AgentReport {
-                    passed: matches!(ev.field("passed"), Some(Value::Bool(true))),
-                    winner: opt_u64(&ev, "winner")?,
-                    chains: opt_u64(&ev, "chains")?.unwrap_or(0),
-                    rounds_total: opt_u64(&ev, "rounds_total")?.unwrap_or(0),
-                    quarantined: opt_u64(&ev, "quarantined")?.unwrap_or(0),
-                    jsonl: req_str(&ev, "jsonl")?,
-                },
-                other => return Err(bad(format!("unknown response verb `{other}`"))),
-            },
-            other => return Err(bad(format!("unknown status `{other}`"))),
+        let id = d.get("id", Need)?;
+        let verb: String = d.get("verb", Need)?;
+        let status: String = d.get("status", Need)?;
+        let key = match status.as_str() {
+            "error" => "error",
+            "ok" if verb != "error" => &verb,
+            _ => return Err(bad(format!("unknown status `{status}` for verb `{verb}`"))),
         };
+        let body = RespBody::get_fields(key, &mut d)?
+            .ok_or_else(|| bad(format!("unknown response verb `{verb}`")))?;
         Ok(Response { id, verb, body })
     }
 }
@@ -1019,6 +934,11 @@ mod tests {
             "{\"ev\": \"ping\"}",             // missing id
             "{\"ev\": \"ping\", \"id\": -3}", // negative id
             "{\"ev\": \"ping\", \"id\": 1, \"priority\": \"urgent\"}",
+            "{\"ev\": \"ping\", \"id\": 1} trailing",
+            "{\"ev\": \"ping\", \"id\": 1, \"id\": 2}", // duplicate key
+            "{\"ev\": \"agent\", \"id\": 1, \"problem\": \"p\", \"early_exit\": 1}",
+            r#"{"ev": "generate", "id": 1, "prompt": "\ud83d"}"#, // lone surrogate
+            r#"{"ev": "generate", "id": 1, "prompt": "\u+041"}"#, // signed `\u`
         ] {
             assert!(
                 Request::from_line(bad_line).is_err(),

@@ -629,61 +629,29 @@ fn handle_frame(line: &str, inner: &Arc<Inner>, writer: &SharedWriter) -> bool {
     };
     let verb = req.body.verb();
     if req.body.is_control() {
-        match req.body {
-            ReqBody::Ping => write_response(
-                writer,
-                &Response {
-                    id: req.id,
-                    verb: verb.into(),
-                    body: RespBody::Pong,
-                },
-            ),
-            ReqBody::Stats => write_response(
-                writer,
-                &Response {
-                    id: req.id,
-                    verb: verb.into(),
-                    body: RespBody::Stats(inner.stats_body()),
-                },
-            ),
-            ReqBody::Health => write_response(
-                writer,
-                &Response {
-                    id: req.id,
-                    verb: verb.into(),
-                    body: RespBody::Health {
-                        uptime_ms: inner.started.elapsed().as_millis() as u64,
-                        generation: inner.generation,
-                        replayed: inner.stats.replayed.load(Ordering::Relaxed),
-                        failpoints: dda_fail::compiled(),
-                    },
-                },
-            ),
-            ReqBody::Ready => write_response(
-                writer,
-                &Response {
-                    id: req.id,
-                    verb: verb.into(),
-                    body: RespBody::Ready {
-                        ready: inner.is_ready(),
-                    },
-                },
-            ),
-            ReqBody::Shutdown => {
-                write_response(
-                    writer,
-                    &Response {
-                        id: req.id,
-                        verb: verb.into(),
-                        body: RespBody::ShuttingDown,
-                    },
-                );
-                inner.stop.store(true, Ordering::Release);
-                return false;
-            }
+        let body = match req.body {
+            ReqBody::Ping => RespBody::Pong,
+            ReqBody::Stats => RespBody::Stats(inner.stats_body()),
+            ReqBody::Health => RespBody::Health {
+                uptime_ms: inner.started.elapsed().as_millis() as u64,
+                generation: inner.generation,
+                replayed: inner.stats.replayed.load(Ordering::Relaxed),
+                failpoints: dda_fail::compiled(),
+            },
+            ReqBody::Ready => RespBody::Ready {
+                ready: inner.is_ready(),
+            },
+            ReqBody::Shutdown => RespBody::ShuttingDown,
             _ => unreachable!("is_control"),
+        };
+        let shutdown = body == RespBody::ShuttingDown;
+        let id = req.id;
+        let verb = verb.into();
+        write_response(writer, &Response { id, verb, body });
+        if shutdown {
+            inner.stop.store(true, Ordering::Release);
         }
-        return true;
+        return !shutdown;
     }
 
     // Journal the acceptance *before* dispatch: once this record exists,

@@ -67,7 +67,7 @@ proptest! {
         let keep = (declared_us * keep_frac / 100).min(declared_us - 1);
         let mut buf = Vec::new();
         buf.extend_from_slice(&declared.to_be_bytes());
-        buf.extend(std::iter::repeat(b'x').take(keep));
+        buf.extend(std::iter::repeat_n(b'x', keep));
         let mut r = Cursor::new(buf);
         match read_frame(&mut r, MAX_FRAME) {
             Err(WireError::Truncated { expected, got }) => {
@@ -621,5 +621,17 @@ fn agent_chain_line_golden() {
              \"repaired\": true, \"cancelled\": false}\n"
         ),
         other => panic!("unexpected response: {other:?}"),
+    }
+}
+
+/// A `generate` prompt from a client that escapes non-BMP characters as
+/// UTF-16 surrogate pairs (Python's `json.dumps` default) decodes to the
+/// character itself.
+#[test]
+fn generate_prompt_surrogate_pairs_decode() {
+    let line = r#"{"ev": "generate", "id": 1, "prompt": "a rocket \ud83d\ude80 counter"}"#;
+    match Request::from_line(line).unwrap().body {
+        ReqBody::Generate { prompt, .. } => assert_eq!(prompt, "a rocket \u{1f680} counter"),
+        other => panic!("{other:?}"),
     }
 }
