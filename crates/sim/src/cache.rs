@@ -12,7 +12,7 @@
 //!
 //! The cache has two tiers:
 //!
-//! * a **process-global sharded cache** ([`SHARDS`] mutex shards indexed
+//! * a **shared sharded cache** ([`SHARDS`] mutex shards indexed
 //!   by design hash, each size-bounded with LRU eviction). Since the
 //!   `Arc` conversion made [`Design`] `Send + Sync`, every thread — and
 //!   every concurrent service request — shares one compiled
@@ -24,8 +24,14 @@
 //! * a small **per-thread L1** in front of it, so steady-state hits on a
 //!   worker's hot designs skip the shard mutex entirely. The L1 is
 //!   size-capped with LRU eviction (it holds clones whose heavy payloads
-//!   are `Arc`-shared with the global tier, so its footprint is the
+//!   are `Arc`-shared with the shared tier, so its footprint is the
 //!   signal tables only).
+//!
+//! [`DesignCache`] is one such two-tier cache; the process-wide functions
+//! ([`shared_design`], [`stats`], [`resident`], [`clear`]) delegate to
+//! one static instance. L1 entries carry their cache's id, so a private
+//! instance (each unit test owns one) shares no entries and no counters
+//! with the process-wide cache or with another instance.
 //!
 //! Entries verify the full key on hit (the hash is only a bucket index),
 //! so collisions cost a recompute, never a wrong design. Hit/miss/evict
@@ -59,7 +65,7 @@ impl std::fmt::Display for FrontendError {
 
 impl std::error::Error for FrontendError {}
 
-/// Process-wide cumulative counters for both cache tiers.
+/// Cumulative counters for both tiers of a [`DesignCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from either tier (`l1_hits + shared_hits`).
@@ -104,24 +110,9 @@ struct Shard {
     clock: u64,
 }
 
-fn shards() -> &'static [Mutex<Shard>; SHARDS] {
-    static SHARDS_CELL: OnceLock<[Mutex<Shard>; SHARDS]> = OnceLock::new();
-    SHARDS_CELL.get_or_init(|| {
-        std::array::from_fn(|_| {
-            Mutex::new(Shard {
-                entries: Vec::new(),
-                clock: 0,
-            })
-        })
-    })
-}
-
-static L1_HITS: AtomicU64 = AtomicU64::new(0);
-static SHARED_HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static EVICTIONS: AtomicU64 = AtomicU64::new(0);
-
 struct L1Entry {
+    /// Id of the [`DesignCache`] this entry mirrors.
+    cache: u64,
     key: u64,
     src: String,
     top: String,
@@ -142,44 +133,202 @@ fn fnv64(src: &str, top: &str) -> u64 {
     h
 }
 
-fn l1_get(key: u64, src: &str, top: &str) -> Option<Result<Design, FrontendError>> {
-    L1.with(|l1| {
-        let mut guard = l1.borrow_mut();
-        let (entries, clock) = &mut *guard;
-        *clock += 1;
-        let stamp = *clock;
-        entries
-            .iter_mut()
-            .find(|e| e.key == key && e.src == src && e.top == top)
-            .map(|e| {
-                e.stamp = stamp;
-                e.value.clone()
-            })
-    })
+/// A two-tier design cache: [`SHARDS`] LRU-bounded mutex shards shared by
+/// every thread, fronted by a per-thread L1 whose entries are tagged with
+/// the owning cache's id. The process-wide cache behind
+/// [`shared_design`], [`stats`], [`resident`] and [`clear`] is one
+/// instance; a private instance (tests above all) shares no entries and
+/// no counters with it.
+pub struct DesignCache {
+    id: u64,
+    shards: [Mutex<Shard>; SHARDS],
+    l1_hits: AtomicU64,
+    shared_hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
 }
 
-fn l1_insert(key: u64, src: &str, top: &str, value: Result<Design, FrontendError>) {
-    L1.with(|l1| {
-        let mut guard = l1.borrow_mut();
-        let (entries, clock) = &mut *guard;
-        while entries.len() >= L1_CAP {
-            let oldest = entries
+impl Default for DesignCache {
+    fn default() -> Self {
+        DesignCache::new()
+    }
+}
+
+impl std::fmt::Debug for DesignCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DesignCache")
+            .field("id", &self.id)
+            .field("stats", &self.stats())
+            .finish()
+    }
+}
+
+impl DesignCache {
+    /// An empty cache with its own id and zeroed counters.
+    pub fn new() -> DesignCache {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        DesignCache {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            shards: std::array::from_fn(|_| {
+                Mutex::new(Shard {
+                    entries: Vec::new(),
+                    clock: 0,
+                })
+            }),
+            l1_hits: AtomicU64::new(0),
+            shared_hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+        }
+    }
+
+    fn l1_get(&self, key: u64, src: &str, top: &str) -> Option<Result<Design, FrontendError>> {
+        L1.with(|l1| {
+            let mut guard = l1.borrow_mut();
+            let (entries, clock) = &mut *guard;
+            *clock += 1;
+            let stamp = *clock;
+            entries
+                .iter_mut()
+                .find(|e| e.cache == self.id && e.key == key && e.src == src && e.top == top)
+                .map(|e| {
+                    e.stamp = stamp;
+                    e.value.clone()
+                })
+        })
+    }
+
+    fn l1_insert(&self, key: u64, src: &str, top: &str, value: Result<Design, FrontendError>) {
+        L1.with(|l1| {
+            let mut guard = l1.borrow_mut();
+            let (entries, clock) = &mut *guard;
+            while entries.len() >= L1_CAP {
+                let oldest = entries
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, e)| e.stamp)
+                    .map(|(i, _)| i)
+                    .expect("non-empty");
+                entries.swap_remove(oldest);
+            }
+            *clock += 1;
+            entries.push(L1Entry {
+                cache: self.id,
+                key,
+                src: src.to_string(),
+                top: top.to_string(),
+                value,
+                stamp: *clock,
+            });
+        });
+    }
+
+    /// Parses and elaborates `(src, top)`, memoized in this cache. See
+    /// [`shared_design`] for the process-wide instance.
+    ///
+    /// # Errors
+    ///
+    /// Returns the (equally memoized) [`FrontendError`] from whichever
+    /// stage rejected the source.
+    pub fn get(&self, src: &str, top: &str) -> Result<Design, FrontendError> {
+        let key = fnv64(src, top);
+        if let Some(v) = self.l1_get(key, src, top) {
+            self.l1_hits.fetch_add(1, Ordering::Relaxed);
+            dda_obs::count("sim.cache.hit.l1", 1);
+            return v;
+        }
+        let shard = &self.shards[(key % SHARDS as u64) as usize];
+        // Injected stall *before* the lock: models a slow thread losing the
+        // herd race without suspending everyone behind a held shard mutex.
+        dda_fail::fail_point!("sim.cache.lock");
+        // Poison-tolerant: an injected panic mid-eviction (chaos builds)
+        // leaves the shard consistent — entries are removed one
+        // `swap_remove` at a time — so later requests may keep using it.
+        let mut guard = shard.lock().unwrap_or_else(|p| p.into_inner());
+        guard.clock += 1;
+        let stamp = guard.clock;
+        if let Some(e) = guard
+            .entries
+            .iter_mut()
+            .find(|e| e.key == key && e.src == src && e.top == top)
+        {
+            e.stamp = stamp;
+            let value = e.value.clone();
+            drop(guard);
+            self.shared_hits.fetch_add(1, Ordering::Relaxed);
+            dda_obs::count("sim.cache.hit.shared", 1);
+            self.l1_insert(key, src, top, value.clone());
+            return value;
+        }
+        // Miss: run the frontend while still holding the shard lock, so a
+        // thundering herd for one new design computes it once (stragglers
+        // block on the lock, then take the hit path above).
+        let value = compute(src, top);
+        while guard.entries.len() >= SHARD_CAP {
+            dda_fail::fail_point!("sim.cache.evict");
+            let oldest = guard
+                .entries
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, e)| e.stamp)
                 .map(|(i, _)| i)
                 .expect("non-empty");
-            entries.swap_remove(oldest);
+            guard.entries.swap_remove(oldest);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            dda_obs::count("sim.cache.evict", 1);
         }
-        *clock += 1;
-        entries.push(L1Entry {
+        guard.entries.push(Entry {
             key,
             src: src.to_string(),
             top: top.to_string(),
-            value,
-            stamp: *clock,
+            value: value.clone(),
+            stamp,
         });
-    });
+        drop(guard);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        dda_obs::count("sim.cache.miss", 1);
+        self.l1_insert(key, src, top, value.clone());
+        value
+    }
+
+    /// Cumulative counters for both tiers of this cache.
+    pub fn stats(&self) -> CacheStats {
+        let l1 = self.l1_hits.load(Ordering::Relaxed);
+        let shared = self.shared_hits.load(Ordering::Relaxed);
+        CacheStats {
+            hits: l1 + shared,
+            misses: self.misses.load(Ordering::Relaxed),
+            l1_hits: l1,
+            shared_hits: shared,
+            evictions: self.evictions.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Number of entries currently resident in the shared tier.
+    pub fn resident(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).entries.len())
+            .sum()
+    }
+
+    /// Empties the shared tier and *this thread's* L1 entries of this
+    /// cache (counters are kept; other threads' L1s drain by eviction).
+    pub fn clear(&self) {
+        for shard in &self.shards {
+            shard
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .entries
+                .clear();
+        }
+        L1.with(|l1| l1.borrow_mut().0.retain(|e| e.cache != self.id));
+    }
+}
+
+fn global() -> &'static DesignCache {
+    static GLOBAL: OnceLock<DesignCache> = OnceLock::new();
+    GLOBAL.get_or_init(DesignCache::new)
 }
 
 /// Parses and elaborates `(src, top)`, memoizing the result process-wide.
@@ -193,64 +342,7 @@ fn l1_insert(key: u64, src: &str, top: &str, value: Result<Design, FrontendError
 /// Returns the (equally memoized) [`FrontendError`] from whichever stage
 /// rejected the source.
 pub fn shared_design(src: &str, top: &str) -> Result<Design, FrontendError> {
-    let key = fnv64(src, top);
-    if let Some(v) = l1_get(key, src, top) {
-        L1_HITS.fetch_add(1, Ordering::Relaxed);
-        dda_obs::count("sim.cache.hit.l1", 1);
-        return v;
-    }
-    let shard = &shards()[(key % SHARDS as u64) as usize];
-    // Injected stall *before* the lock: models a slow thread losing the
-    // herd race without suspending everyone behind a held shard mutex.
-    dda_fail::fail_point!("sim.cache.lock");
-    // Poison-tolerant: an injected panic mid-eviction (chaos builds)
-    // leaves the shard consistent — entries are removed one `swap_remove`
-    // at a time — so later requests may keep using it.
-    let mut guard = shard.lock().unwrap_or_else(|p| p.into_inner());
-    guard.clock += 1;
-    let stamp = guard.clock;
-    if let Some(e) = guard
-        .entries
-        .iter_mut()
-        .find(|e| e.key == key && e.src == src && e.top == top)
-    {
-        e.stamp = stamp;
-        let value = e.value.clone();
-        drop(guard);
-        SHARED_HITS.fetch_add(1, Ordering::Relaxed);
-        dda_obs::count("sim.cache.hit.shared", 1);
-        l1_insert(key, src, top, value.clone());
-        return value;
-    }
-    // Miss: run the frontend while still holding the shard lock, so a
-    // thundering herd for one new design computes it once (stragglers
-    // block on the lock, then take the hit path above).
-    let value = compute(src, top);
-    while guard.entries.len() >= SHARD_CAP {
-        dda_fail::fail_point!("sim.cache.evict");
-        let oldest = guard
-            .entries
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.stamp)
-            .map(|(i, _)| i)
-            .expect("non-empty");
-        guard.entries.swap_remove(oldest);
-        EVICTIONS.fetch_add(1, Ordering::Relaxed);
-        dda_obs::count("sim.cache.evict", 1);
-    }
-    guard.entries.push(Entry {
-        key,
-        src: src.to_string(),
-        top: top.to_string(),
-        value: value.clone(),
-        stamp,
-    });
-    drop(guard);
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    dda_obs::count("sim.cache.miss", 1);
-    l1_insert(key, src, top, value.clone());
-    value
+    global().get(src, top)
 }
 
 fn compute(src: &str, top: &str) -> Result<Design, FrontendError> {
@@ -264,37 +356,18 @@ fn compute(src: &str, top: &str) -> Result<Design, FrontendError> {
 
 /// Process-wide cumulative cache counters.
 pub fn stats() -> CacheStats {
-    let l1 = L1_HITS.load(Ordering::Relaxed);
-    let shared = SHARED_HITS.load(Ordering::Relaxed);
-    CacheStats {
-        hits: l1 + shared,
-        misses: MISSES.load(Ordering::Relaxed),
-        l1_hits: l1,
-        shared_hits: shared,
-        evictions: EVICTIONS.load(Ordering::Relaxed),
-    }
+    global().stats()
 }
 
-/// Number of entries currently resident in the global tier.
+/// Number of entries currently resident in the process-wide global tier.
 pub fn resident() -> usize {
-    shards()
-        .iter()
-        .map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).entries.len())
-        .sum()
+    global().resident()
 }
 
-/// Empties the global tier and *this thread's* L1 (counters are kept;
-/// other threads' L1s drain by eviction). Tests use this to get
-/// deterministic miss-then-hit sequences.
+/// Empties the process-wide global tier and *this thread's* L1 (counters
+/// are kept; other threads' L1s drain by eviction).
 pub fn clear() {
-    for shard in shards() {
-        shard
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .entries
-            .clear();
-    }
-    L1.with(|l1| l1.borrow_mut().0.clear());
+    global().clear()
 }
 
 #[cfg(test)]
@@ -305,24 +378,23 @@ mod tests {
 
     #[test]
     fn hit_after_miss_shares_bytecode() {
-        clear();
-        let before = stats();
-        let d1 = shared_design(SRC, "m").unwrap();
-        let d2 = shared_design(SRC, "m").unwrap();
-        let after = stats();
-        assert_eq!(after.misses - before.misses, 1);
-        assert!(after.hits - before.hits >= 1);
+        let cache = DesignCache::new();
+        let d1 = cache.get(SRC, "m").unwrap();
+        let d2 = cache.get(SRC, "m").unwrap();
+        let stats = cache.stats();
+        assert_eq!(stats.misses, 1);
+        assert_eq!(stats.hits, 1);
         // Both clones share one compiled program.
         assert!(std::sync::Arc::ptr_eq(&d1.compiled(), &d2.compiled()));
     }
 
     #[test]
     fn concurrent_threads_share_one_compiled_design() {
-        clear();
+        let cache = DesignCache::new();
         let src = "module shared_t;\nreg [3:0] r;\ninitial r = 4'd7;\nendmodule\n";
         let designs: Vec<Design> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
-                .map(|_| scope.spawn(|| shared_design(src, "shared_t").unwrap()))
+                .map(|_| scope.spawn(|| cache.get(src, "shared_t").unwrap()))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
@@ -333,44 +405,47 @@ mod tests {
                 "threads compiled separate copies"
             );
         }
+        assert_eq!(cache.stats().misses, 1, "the frontend ran more than once");
     }
 
     #[test]
     fn errors_are_memoized_too() {
-        clear();
-        let before = stats();
-        let e1 = shared_design("module broken(; endmodule", "broken").unwrap_err();
-        let e2 = shared_design("module broken(; endmodule", "broken").unwrap_err();
+        let cache = DesignCache::new();
+        let e1 = cache
+            .get("module broken(; endmodule", "broken")
+            .unwrap_err();
+        let e2 = cache
+            .get("module broken(; endmodule", "broken")
+            .unwrap_err();
         assert!(matches!(e1, FrontendError::Parse(_)));
         assert_eq!(e1, e2);
-        let missing = shared_design(SRC, "nope").unwrap_err();
+        let missing = cache.get(SRC, "nope").unwrap_err();
         assert!(matches!(missing, FrontendError::Elab(_)));
-        let after = stats();
-        assert_eq!(after.misses - before.misses, 2);
-        assert!(after.hits - before.hits >= 1);
+        let stats = cache.stats();
+        assert_eq!(stats.misses, 2);
+        assert_eq!(stats.hits, 1);
     }
 
     #[test]
     fn distinct_tops_do_not_collide() {
-        clear();
+        let cache = DesignCache::new();
         let two = "module a;\nendmodule\nmodule b;\nreg r;\nendmodule\n";
-        let da = shared_design(two, "a").unwrap();
-        let db = shared_design(two, "b").unwrap();
+        let da = cache.get(two, "a").unwrap();
+        let db = cache.get(two, "b").unwrap();
         assert_ne!(da.signals.len(), db.signals.len());
     }
 
     #[test]
     fn shared_tier_evicts_rather_than_grows() {
-        clear();
-        let before = stats();
+        let cache = DesignCache::new();
         for i in 0..(SHARDS * SHARD_CAP * 2) {
             let src = format!("module m;\nreg [{}:0] r;\nendmodule\n", i % 251 + 1);
-            let _ = shared_design(&src, "m");
+            let _ = cache.get(&src, "m");
         }
         assert!(
-            resident() <= SHARDS * SHARD_CAP,
-            "global tier over capacity: {}",
-            resident()
+            cache.resident() <= SHARDS * SHARD_CAP,
+            "shared tier over capacity: {}",
+            cache.resident()
         );
         // 252 distinct designs cycled repeatedly through a 512-slot tier:
         // every entry stays resident after the first pass, so the second
@@ -378,24 +453,23 @@ mod tests {
         // bound to see eviction fire.
         for i in 0..(SHARDS * SHARD_CAP * 2) {
             let src = format!("module m;\nreg [7:0] r{};\nendmodule\n", i);
-            let _ = shared_design(&src, "m");
+            let _ = cache.get(&src, "m");
         }
-        let after = stats();
         assert!(
-            after.evictions > before.evictions,
+            cache.stats().evictions > 0,
             "distinct-design thrash never evicted"
         );
-        assert!(resident() <= SHARDS * SHARD_CAP);
+        assert!(cache.resident() <= SHARDS * SHARD_CAP);
     }
 
     #[test]
     fn l1_is_bounded_with_eviction() {
-        clear();
+        let cache = DesignCache::new();
         // Cycle more designs than the L1 holds; the L1 must stay capped
         // while still answering the most recent design without a lock.
         for i in 0..(L1_CAP * 3) {
             let src = format!("module l1t;\nreg [{}:0] r;\nendmodule\n", i % 61 + 1);
-            let _ = shared_design(&src, "l1t");
+            let _ = cache.get(&src, "l1t");
         }
         let len = L1.with(|l1| l1.borrow().0.len());
         assert!(len <= L1_CAP, "L1 grew to {len}");
@@ -404,9 +478,9 @@ mod tests {
             "module l1t;\nreg [{}:0] r;\nendmodule\n",
             (L1_CAP * 3 - 1) % 61 + 1
         );
-        let before = stats();
-        let _ = shared_design(&src, "l1t");
-        let after = stats();
+        let before = cache.stats();
+        let _ = cache.get(&src, "l1t");
+        let after = cache.stats();
         assert_eq!(after.l1_hits - before.l1_hits, 1);
         assert_eq!(after.shared_hits, before.shared_hits);
     }
