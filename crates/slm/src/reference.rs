@@ -7,7 +7,7 @@
 //! against them at runtime:
 //!
 //! * the linear-scan retrieval reference lives on the index itself as
-//!   [`TfIdfIndex::query_linear`](crate::tfidf::TfIdfIndex::query_linear)
+//!   [`TfIdfIndex::try_query_linear`](crate::tfidf::TfIdfIndex::try_query_linear)
 //!   (it shares the built index, so only the scan differs);
 //! * [`StringNgram`] is the old n-gram model verbatim: context tables
 //!   keyed on `Vec<String>` windows of `tokenize_lower` output.

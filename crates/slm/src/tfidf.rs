@@ -13,9 +13,7 @@
 //! hits without sorting the full candidate set. The pre-postings linear
 //! scan is retained as [`try_query_linear`] — the reference the
 //! equivalence suites and the `perfsnap` guard compare against. Querying
-//! before `finish` is a typed [`IndexError::NotFinished`]; the old
-//! panicking `query`/`query_linear` entry points survive as
-//! `#[deprecated]` shims.
+//! before `finish` is a typed [`IndexError::NotFinished`].
 //!
 //! Determinism: all dot products accumulate term-by-term in ascending
 //! term-id order (both paths), so scores are bit-identical between the
@@ -303,33 +301,6 @@ impl TfIdfIndex {
         hits.truncate(top);
         Ok(hits)
     }
-
-    /// Panicking shim over [`TfIdfIndex::try_query`], kept for old callers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`TfIdfIndex::finish`] has not been called.
-    #[deprecated(note = "use try_query(); an unfinished index is now a typed IndexError")]
-    pub fn query(&self, query: &str, top: usize) -> Vec<Hit> {
-        match self.try_query(query, top) {
-            Ok(hits) => hits,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Panicking shim over [`TfIdfIndex::try_query_linear`], kept for old
-    /// callers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`TfIdfIndex::finish`] has not been called.
-    #[deprecated(note = "use try_query_linear(); an unfinished index is now a typed IndexError")]
-    pub fn query_linear(&self, query: &str, top: usize) -> Vec<Hit> {
-        match self.try_query_linear(query, top) {
-            Ok(hits) => hits,
-            Err(e) => panic!("{e}"),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -406,38 +377,6 @@ mod tests {
         assert_eq!(
             IndexError::NotFinished.to_string(),
             "call finish() before query()"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "finish")]
-    #[allow(deprecated)]
-    fn deprecated_query_shim_still_panics() {
-        let mut idx = TfIdfIndex::new();
-        idx.add("a");
-        idx.query("a", 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "finish")]
-    #[allow(deprecated)]
-    fn deprecated_linear_shim_still_panics() {
-        let mut idx = TfIdfIndex::new();
-        idx.add("a");
-        idx.query_linear("a", 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_fallible_paths() {
-        let idx = index(&["counter with reset", "an adder"]);
-        assert_eq!(
-            idx.query("counter", 2),
-            idx.try_query("counter", 2).unwrap()
-        );
-        assert_eq!(
-            idx.query_linear("counter", 2),
-            idx.try_query_linear("counter", 2).unwrap()
         );
     }
 
