@@ -40,7 +40,7 @@ use dda_core::align::ALIGN_INSTRUCT;
 use dda_core::repair::REPAIR_INSTRUCT;
 use dda_runtime::{run_supervised, CancelToken, RetryPolicy, RunOptions, UnitOutcome};
 use dda_sim::{EvalMode, SimOptions, MAX_BATCH_LANES};
-use dda_slm::{GenOptions, Slm};
+use dda_slm::{GenOptions, Prepared, Slm};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -131,8 +131,8 @@ pub fn agent_episode(
     let mut rng = SmallRng::seed_from_u64(
         protocol.seed ^ fnv(problem.id) ^ ((level as u64) << 40) ^ fnv(&model.profile().name),
     );
-    let prompt = &problem.prompts[level];
-    let mut candidate = model.generate(ALIGN_INSTRUCT, prompt, &opts, &mut rng);
+    let prompt = model.prepare(ALIGN_INSTRUCT, &problem.prompts[level]);
+    let mut candidate = model.sample(&prompt, &opts, &mut rng);
     let file = format!("{}.v", problem.module_name);
     let mut repaired_by_loop = false;
     let mut iterations = 1;
@@ -151,7 +151,7 @@ pub fn agent_episode(
             break;
         }
         // Repair failed: redraft from the prompt with a fresh sample.
-        candidate = model.generate(ALIGN_INSTRUCT, prompt, &opts, &mut rng);
+        candidate = model.sample(&prompt, &opts, &mut rng);
     }
     let lint_clean = dda_lint::check_source(&file, &candidate).is_clean();
     let function = if lint_clean {
@@ -372,10 +372,12 @@ fn tool_stall(protocol: &AgentProtocol, cancel: &CancelToken) {
 
 /// Runs one full candidate chain: draft, then up to
 /// `protocol.max_feedback_iters` rounds of lint → simulate → feed the
-/// transcript back through the repair pathway. Every round emits an
-/// `agent.round` span/counter/trace-event; the chain emits `agent.chain`.
+/// transcript back through the repair pathway. Drafts and redrafts sample
+/// the batch's `prompt`, prepared once for all its chains by the model
+/// that runs the chain. Every round emits an `agent.round`
+/// span/counter/trace-event; the chain emits `agent.chain`.
 fn run_chain(
-    model: &Slm,
+    prompt: &Prepared<'_>,
     problem: &VerilogProblem,
     level: usize,
     chain: usize,
@@ -385,16 +387,16 @@ fn run_chain(
 ) -> ChainOutcome {
     let chain_span = dda_obs::span("agent.chain");
     dda_obs::count("agent.chain.started", 1);
+    let model = prompt.model();
     let gen = GenOptions {
         temperature: opts.protocol.temperature,
     };
     let mut rng = SmallRng::seed_from_u64(chain_seed(&opts.protocol, model, problem, level, chain));
-    let prompt = &problem.prompts[level];
     let file = format!("{}.v", problem.module_name);
     let mut sim = testbench_sim_options(cancel);
     sim.eval_mode = opts.eval_mode;
 
-    let mut candidate = model.generate(ALIGN_INSTRUCT, prompt, &gen, &mut rng);
+    let mut candidate = model.sample(prompt, &gen, &mut rng);
     tool_stall(&opts.protocol, cancel);
     let mut repaired_by_loop = false;
     let mut rounds = 0usize;
@@ -447,7 +449,7 @@ fn run_chain(
             repaired_by_loop = true;
         } else {
             // Repair failed: redraft from the prompt with a fresh sample.
-            candidate = model.generate(ALIGN_INSTRUCT, prompt, &gen, &mut rng);
+            candidate = model.sample(prompt, &gen, &mut rng);
             tool_stall(&opts.protocol, cancel);
             repaired_by_loop = false;
         }
@@ -549,6 +551,7 @@ pub fn agent_batch_sequential(
 ) -> AgentBatchOutcome {
     let _span = dda_obs::span("agent.batch");
     let never = CancelToken::new();
+    let prompt = model.prepare(ALIGN_INSTRUCT, &problem.prompts[level]);
     let mut chains = Vec::with_capacity(opts.k);
     for chain in 0..opts.k {
         if opts.early_exit && chains.iter().any(ChainOutcome::passed) {
@@ -556,7 +559,7 @@ pub fn agent_batch_sequential(
             continue;
         }
         chains.push(run_chain(
-            model, problem, level, chain, context, opts, &never,
+            &prompt, problem, level, chain, context, opts, &never,
         ));
     }
     let out = assemble(chains, opts.early_exit);
@@ -611,6 +614,8 @@ pub fn agent_batch(
             quarantined: 0,
         };
     }
+    // Every chain drafts from the same prompt: retrieve once, up front.
+    let prompt = model.prepare(ALIGN_INSTRUCT, &problem.prompts[level]);
     // Lowest-indexed passing chain so far: the early-exit floor.
     let best = AtomicUsize::new(usize::MAX);
     // Cancellation handles for in-flight chains, indexed by chain.
@@ -633,7 +638,7 @@ pub fn agent_batch(
         // one chain without touching its siblings.
         let sib = token.child();
         *inflight[chain].lock().unwrap() = Some(sib.clone());
-        let out = run_chain(model, problem, level, chain, context, opts, &sib);
+        let out = run_chain(&prompt, problem, level, chain, context, opts, &sib);
         *inflight[chain].lock().unwrap() = None;
         if opts.early_exit && out.passed() {
             let mut cur = best.load(Ordering::Acquire);

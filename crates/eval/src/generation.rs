@@ -310,7 +310,8 @@ pub fn eval_cell_with(
     protocol: &GenProtocol,
     cancel: &CancelToken,
 ) -> GenCell {
-    let prompt = &problem.prompts[level];
+    // The k samples share one prompt: retrieve once for all of them.
+    let prompt = model.prepare(ALIGN_INSTRUCT, &problem.prompts[level]);
     let opts = GenOptions {
         temperature: protocol.temperature,
     };
@@ -326,7 +327,7 @@ pub fn eval_cell_with(
                 .wrapping_add(hash_id(&model.profile().name))
                 .wrapping_add(i as u64),
         );
-        let out = model.generate(ALIGN_INSTRUCT, prompt, &opts, &mut rng);
+        let out = model.sample(&prompt, &opts, &mut rng);
         let report = dda_lint::check_source("gen.v", &out);
         if !report.is_clean() {
             syntax_errors += 1;

@@ -8,6 +8,7 @@
 //! NL-alignment skill becomes observable.
 
 use dda_verilog::ast::PortDir;
+use dda_verilog::consteval::range_width;
 use dda_verilog::lexer::lex;
 use dda_verilog::token::TokenKind;
 use std::collections::HashMap;
@@ -21,6 +22,9 @@ pub struct InterfaceSpec {
     pub ports: Vec<(PortDir, String)>,
     /// Raw `Ports:` declaration text (for re-emission).
     pub ports_text: Option<String>,
+    /// The ports of that same `Ports:` line with their bit widths:
+    /// (direction, name, width). What [`interface_fit`] matches against.
+    pub port_widths: Vec<(PortDir, String, usize)>,
 }
 
 impl InterfaceSpec {
@@ -53,9 +57,12 @@ pub fn parse_interface(prompt: &str) -> InterfaceSpec {
             // Reuse the Verilog parser by wrapping as a header.
             let wrapped = format!("module __spec({text}); endmodule");
             if let Ok(sf) = dda_verilog::parse(&wrapped) {
+                spec.port_widths.clear();
                 for p in &sf.modules[0].ports {
                     if let Some(dir) = p.dir {
                         spec.ports.push((dir, p.name.name.clone()));
+                        let width = range_width(&p.range, &HashMap::new()).unwrap_or(1);
+                        spec.port_widths.push((dir, p.name.name.clone(), width));
                     }
                 }
                 spec.ports_text = Some(text);
@@ -139,7 +146,6 @@ pub fn adapt_interface(source: &str, spec: &InterfaceSpec) -> String {
 /// requested interface against the example is exactly what instruction
 /// following buys.
 pub fn interface_fit(source: &str, spec: &InterfaceSpec) -> i32 {
-    use std::collections::HashMap as Map;
     let Ok(sf) = dda_verilog::parse(source) else {
         return i32::MIN / 2;
     };
@@ -148,10 +154,8 @@ pub fn interface_fit(source: &str, spec: &InterfaceSpec) -> i32 {
     };
     // (dir, name) -> width for the candidate.
     let mut have: Vec<(PortDir, String, usize)> = Vec::new();
-    let env = Map::new();
-    let width_of = |r: &Option<dda_verilog::ast::Range>| {
-        dda_verilog::consteval::range_width(r, &env).unwrap_or(1)
-    };
+    let env = HashMap::new();
+    let width_of = |r: &Option<dda_verilog::ast::Range>| range_width(r, &env).unwrap_or(1);
     for p in &module.ports {
         let dir = p.dir.or_else(|| {
             module.items.iter().find_map(|i| match i {
@@ -175,23 +179,20 @@ pub fn interface_fit(source: &str, spec: &InterfaceSpec) -> i32 {
             have.push((dir, p.name.name.clone(), width_of(&range)));
         }
     }
-    // Spec widths via the same wrap-and-parse trick.
-    let mut want: Vec<(PortDir, String, usize)> = Vec::new();
-    if let Some(text) = &spec.ports_text {
-        let wrapped = format!("module __spec({text}); endmodule");
-        if let Ok(sf) = dda_verilog::parse(&wrapped) {
-            for p in &sf.modules[0].ports {
-                if let Some(d) = p.dir {
-                    want.push((d, p.name.name.clone(), width_of(&p.range)));
-                }
-            }
-        }
-    }
-    if want.is_empty() {
-        for (d, n) in &spec.ports {
-            want.push((*d, n.clone(), 1));
-        }
-    }
+    // Spec widths were parsed with the spec. Without them (a spec built
+    // by hand, or a last `Ports:` line with no directions) the spec's
+    // ports match at width 1.
+    let want: Vec<(PortDir, &str, usize)> = if spec.port_widths.is_empty() {
+        spec.ports
+            .iter()
+            .map(|(d, n)| (*d, n.as_str(), 1))
+            .collect()
+    } else {
+        spec.port_widths
+            .iter()
+            .map(|(d, n, w)| (*d, n.as_str(), *w))
+            .collect()
+    };
     let mut fit = 0i32;
     let mut used = vec![false; have.len()];
     for (d, n, w) in &want {
@@ -271,6 +272,14 @@ mod tests {
                 (PortDir::Input, "clk".into()),
                 (PortDir::Input, "rst".into()),
                 (PortDir::Output, "count".into()),
+            ]
+        );
+        assert_eq!(
+            spec.port_widths,
+            vec![
+                (PortDir::Input, "clk".into(), 1),
+                (PortDir::Input, "rst".into(), 1),
+                (PortDir::Output, "count".into(), 4),
             ]
         );
     }

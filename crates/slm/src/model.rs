@@ -22,11 +22,11 @@
 //! syntax-error counts, repair success — is measured behaviour through the
 //! real linter and simulator.
 
-use crate::adapt::{adapt_interface, parse_interface};
+use crate::adapt::{adapt_interface, parse_interface, InterfaceSpec};
 use crate::corrupt::corrupt;
 use crate::fixer::try_fix;
 use crate::ngram::{padded_syms, NgramModel};
-use crate::tfidf::TfIdfIndex;
+use crate::tfidf::{Hit, TfIdfIndex};
 use dda_core::align::ALIGN_INSTRUCT;
 use dda_core::edascript::EDA_INSTRUCT;
 use dda_core::intern::Sym;
@@ -36,6 +36,7 @@ use dda_core::{DataEntry, Dataset, TaskKind};
 use dda_runtime::{run_supervised, RunOptions, UnitOutcome};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 
 /// A model personality: capacity plus pretrained skill floors.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,6 +134,39 @@ impl Default for GenOptions {
     fn default() -> Self {
         GenOptions { temperature: 0.1 }
     }
+}
+
+/// A prompt prepared for sampling: the per-prompt, RNG-free half of
+/// [`Slm::generate`], computed once by [`Slm::prepare`] and shared by
+/// every [`Slm::sample`] drawn from it (pass@k chains, redrafts, the k
+/// samples of an evaluation cell). `Sync`, so parallel chains can share
+/// one.
+#[derive(Debug)]
+pub struct Prepared<'p> {
+    model: &'p Slm,
+    instruct: &'p str,
+    input: &'p str,
+    /// The prompt's requested interface (empty for repair prompts).
+    spec: InterfaceSpec,
+    /// Filled by `prepare`, or by the first EDA sample that retrieves.
+    retrieval: OnceLock<Retrieval>,
+}
+
+impl<'p> Prepared<'p> {
+    /// The model that prepared this prompt (the one to sample it with).
+    pub fn model(&self) -> &'p Slm {
+        self.model
+    }
+}
+
+/// The kept retrieval hits of a prepared prompt.
+#[derive(Debug)]
+struct Retrieval {
+    /// Best-first top-32 hits after the same-task filter, at most 8.
+    hits: Vec<Hit>,
+    /// Interface fit of each hit's output against the prompt's spec,
+    /// computed the first time a sample compares that hit.
+    fits: Vec<OnceLock<i32>>,
 }
 
 struct TrainDoc {
@@ -357,7 +391,9 @@ impl Slm {
     /// Generates a response for `(instruct, input)`.
     ///
     /// Deterministic per `rng` state; draw `k` samples with fresh seeds for
-    /// pass@k protocols.
+    /// pass@k protocols. This is [`prepare`](Self::prepare) followed by
+    /// one [`sample`](Self::sample); callers drawing several samples from
+    /// one prompt should prepare once and sample `k` times instead.
     pub fn generate<R: Rng + ?Sized>(
         &self,
         instruct: &str,
@@ -365,6 +401,88 @@ impl Slm {
         opts: &GenOptions,
         rng: &mut R,
     ) -> String {
+        self.sample(&self.prepare(instruct, input), opts, rng)
+    }
+
+    /// The per-prompt half of [`generate`](Self::generate): everything that
+    /// depends on `(instruct, input)` alone and draws no randomness.
+    ///
+    /// Parses the prompt's requested interface and runs the retrieval
+    /// query (top-32, same-task filter, best 8 kept). Repair prompts never
+    /// retrieve, and EDA prompts defer the query to the first sample that
+    /// needs it, since a skilled model constructs the script directly.
+    /// The result is shared by reference: [`sample`](Self::sample) reads it
+    /// and every sample from it is bit-identical to a fresh `generate`
+    /// with the same RNG state.
+    pub fn prepare<'p>(&'p self, instruct: &'p str, input: &'p str) -> Prepared<'p> {
+        let _span = dda_obs::span("slm.prepare");
+        dda_obs::count("slm.prepare", 1);
+        let spec = if instruct == REPAIR_INSTRUCT {
+            InterfaceSpec::default()
+        } else {
+            parse_interface(input)
+        };
+        let prepared = Prepared {
+            model: self,
+            instruct,
+            input,
+            spec,
+            retrieval: OnceLock::new(),
+        };
+        if instruct != REPAIR_INSTRUCT && instruct != EDA_INSTRUCT {
+            self.retrieval(&prepared);
+        }
+        prepared
+    }
+
+    /// Retrieval for a prepared prompt, run on first use. Instruction
+    /// tuning conditions generation on the task: when any example of the
+    /// requested task matches at all, examples of other tasks are out of
+    /// the running (a short completion prefix can out-cosine a long
+    /// description on shared port tokens, but a tuned model does not
+    /// answer a design request with a next-token guess).
+    fn retrieval<'a>(&self, p: &'a Prepared<'_>) -> &'a Retrieval {
+        p.retrieval.get_or_init(|| {
+            let query = format!("{}\n{}", p.instruct, p.input);
+            // The hot path goes through the postings index, always; the
+            // linear scan exists only for the equivalence batteries behind
+            // the doc-hidden `set_reference_retrieval` toggle (the obs
+            // regression test in `tests/hot_path_obs.rs` pins this: counter
+            // `slm.query.linear` stays 0 across a normal sweep).
+            let mut hits = if self.reference_retrieval {
+                self.index.try_query_linear(&query, 32)
+            } else {
+                self.index.try_query(&query, 32)
+            }
+            .expect("finetune() finished the index");
+            if hits.iter().any(|h| self.docs[h.doc].instruct == p.instruct) {
+                hits.retain(|h| self.docs[h.doc].instruct == p.instruct);
+            }
+            hits.truncate(8);
+            let fits = hits.iter().map(|_| OnceLock::new()).collect();
+            Retrieval { hits, fits }
+        })
+    }
+
+    /// Draws one response for a [`prepare`](Self::prepare)d prompt. Makes
+    /// exactly the RNG draws [`generate`](Self::generate) makes, so equal
+    /// RNG states give equal outputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prepared` came from a different model.
+    pub fn sample<R: Rng + ?Sized>(
+        &self,
+        prepared: &Prepared<'_>,
+        opts: &GenOptions,
+        rng: &mut R,
+    ) -> String {
+        assert!(
+            std::ptr::eq(prepared.model, self),
+            "prompt was prepared by a different model"
+        );
+        dda_obs::count("slm.sample", 1);
+        let (instruct, input, spec) = (prepared.instruct, prepared.input, &prepared.spec);
         if instruct == REPAIR_INSTRUCT {
             return self.generate_repair(input, &[], opts, rng);
         }
@@ -387,36 +505,15 @@ impl Slm {
         } else {
             self.skills.code
         };
-        // Retrieve with alignment-dependent jitter. Instruction tuning
-        // conditions generation on the task: when any example of the
-        // requested task matches at all, examples of other tasks are out of
-        // the running (a short completion prefix can out-cosine a long
-        // description on shared port tokens, but a tuned model does not
-        // answer a design request with a next-token guess).
-        let query = format!("{instruct}\n{input}");
-        // The hot path goes through the postings index, always; the
-        // linear scan exists only for the equivalence batteries behind
-        // the doc-hidden `set_reference_retrieval` toggle (the obs
-        // regression test in `tests/hot_path_obs.rs` pins this: counter
-        // `slm.query.linear` stays 0 across a normal sweep).
-        let mut hits = if self.reference_retrieval {
-            self.index
-                .try_query_linear(&query, 32)
-                .expect("finetune() finished the index")
-        } else {
-            self.index
-                .try_query(&query, 32)
-                .expect("finetune() finished the index")
-        };
-        if hits.iter().any(|h| self.docs[h.doc].instruct == instruct) {
-            hits.retain(|h| self.docs[h.doc].instruct == instruct);
-        }
-        hits.truncate(8);
+        // Retrieve with alignment-dependent jitter.
+        let retrieval = self.retrieval(prepared);
+        let hits = &retrieval.hits;
         let n = self.docs.len().max(1) as f64;
         let jitter = (1.0 - task_skill) * 0.35 * self.cap_mult().max(0.6);
         let chosen = hits
             .iter()
-            .map(|h| {
+            .enumerate()
+            .map(|(i, h)| {
                 let recency = self.profile.recency_weight * (h.doc as f64 / n) * 0.2;
                 let noise = (rng.gen::<f64>() - 0.5) * 2.0 * jitter;
                 // A finetuned model conditions on the instruction: examples
@@ -428,10 +525,10 @@ impl Slm {
                 } else {
                     0.0
                 };
-                (h, h.score + recency + noise + task_bonus)
+                (i, h.score + recency + noise + task_bonus)
             })
             .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(h, _)| h);
+            .map(|(i, _)| i);
         // Whether the model "gets" a given request is stable across
         // low-temperature samples (resampling rarely rescues a model that
         // misread the spec), so the comprehension roll is hashed from
@@ -454,47 +551,45 @@ impl Slm {
         // candidates against the requested interface; one that misread it
         // lands on a plausible-but-wrong example (the runner-up).
         let hit = match (chosen, understood) {
-            (Some(h), true) if instruct == ALIGN_INSTRUCT => {
-                let spec = parse_interface(input);
-                if spec.is_empty() {
-                    h
-                } else {
-                    // Among near-tied candidates, best interface fit wins;
-                    // fit ties fall back to retrieval score (so an exact
-                    // description match is never displaced by a sibling).
-                    hits.iter()
-                        .filter(|o| o.score >= h.score - 0.08)
-                        .max_by(|x, y| {
-                            let fx = crate::adapt::interface_fit(&self.docs[x.doc].output, &spec);
-                            let fy = crate::adapt::interface_fit(&self.docs[y.doc].output, &spec);
-                            fx.cmp(&fy).then(x.score.total_cmp(&y.score))
-                        })
-                        .unwrap_or(h)
-                }
+            (Some(c), true) if instruct == ALIGN_INSTRUCT && !spec.is_empty() => {
+                // Among near-tied candidates, best interface fit wins;
+                // fit ties fall back to retrieval score (so an exact
+                // description match is never displaced by a sibling).
+                let floor = hits[c].score - 0.08;
+                let fit = |i: usize| {
+                    *retrieval.fits[i].get_or_init(|| {
+                        crate::adapt::interface_fit(&self.docs[hits[i].doc].output, spec)
+                    })
+                };
+                (0..hits.len())
+                    .filter(|&o| hits[o].score >= floor)
+                    .max_by(|&x, &y| {
+                        fit(x)
+                            .cmp(&fit(y))
+                            .then(hits[x].score.total_cmp(&hits[y].score))
+                    })
+                    .unwrap_or(c)
             }
-            (Some(h), true) => h,
-            (Some(h), false) => hits.iter().find(|o| o.doc != h.doc).unwrap_or(h),
-            (None, _) => return self.hallucinate(input, opts, rng),
+            (Some(c), true) => c,
+            (Some(c), false) => hits.iter().position(|o| o.doc != hits[c].doc).unwrap_or(c),
+            (None, _) => return self.hallucinate(spec, rng),
         };
+        let hit = &hits[hit];
         let doc = &self.docs[hit.doc];
         let mut output = doc.output.clone();
         let sim = hit.score;
         let instruct_match = doc.instruct == instruct;
         // Interface adaptation for NL→Verilog prompts.
-        if instruct == ALIGN_INSTRUCT {
-            let spec = parse_interface(input);
-            if !spec.is_empty() {
-                if understood {
-                    output = adapt_interface(&output, &spec);
-                } else if roll < follow + 0.45 {
-                    // Partial understanding: only the module name.
-                    let partial = crate::adapt::InterfaceSpec {
-                        module: spec.module.clone(),
-                        ports: Vec::new(),
-                        ports_text: None,
-                    };
-                    output = adapt_interface(&output, &partial);
-                }
+        if instruct == ALIGN_INSTRUCT && !spec.is_empty() {
+            if understood {
+                output = adapt_interface(&output, spec);
+            } else if roll < follow + 0.45 {
+                // Partial understanding: only the module name.
+                let partial = InterfaceSpec {
+                    module: spec.module.clone(),
+                    ..InterfaceSpec::default()
+                };
+                output = adapt_interface(&output, &partial);
             }
         }
         // Corruption channel. Cross-register paraphrase keeps raw cosine
@@ -621,9 +716,8 @@ impl Slm {
         }
     }
 
-    fn hallucinate<R: Rng + ?Sized>(&self, input: &str, _opts: &GenOptions, rng: &mut R) -> String {
+    fn hallucinate<R: Rng + ?Sized>(&self, spec: &InterfaceSpec, rng: &mut R) -> String {
         // Nothing retrieved: emit a skeleton around the requested interface.
-        let spec = parse_interface(input);
         let name = spec.module.clone().unwrap_or_else(|| "top".to_owned());
         let ports = spec.ports_text.clone().unwrap_or_default();
         let body = if rng.gen_bool(0.5) { "  // TODO\n" } else { "" };
