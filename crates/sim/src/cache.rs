@@ -154,15 +154,6 @@ impl Default for DesignCache {
     }
 }
 
-impl std::fmt::Debug for DesignCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DesignCache")
-            .field("id", &self.id)
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
 impl DesignCache {
     /// An empty cache with its own id and zeroed counters.
     pub fn new() -> DesignCache {
