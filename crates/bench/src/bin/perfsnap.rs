@@ -10,9 +10,7 @@
 //! paths (retrieval queries and simulator runs) with the recorder
 //! disabled vs enabled — trials interleave the two states and the
 //! reported number is the per-state median, so warm-up and frequency
-//! drift cannot bias one side — then times the batch engine (R identical
-//! lanes lockstep through one simulation vs R sequential scalar runs),
-//! then runs a multi-client storm against an in-process `dda-serve`
+//! drift cannot bias one side — then runs a multi-client storm against an in-process `dda-serve`
 //! daemon (hot-cache and cache-miss profiles, recording req/s and
 //! p50/p99 round-trip latency), then times the `dda-fail` failpoint tax
 //! on the pool's submit→execute hot path (two sites per job; zero when
@@ -328,81 +326,6 @@ fn obs_section(smoke: bool) -> String {
            \"query_ms\": {{ \"disabled\": {query_off_ms:.3}, \"enabled\": {query_on_ms:.3} }},\n    \
            \"sim_ms\": {{ \"disabled\": {sim_off_ms:.3}, \"enabled\": {sim_on_ms:.3} }},\n    \
            \"enabled_overhead_pct\": {{ \"query\": {query_pct:.2}, \"sim\": {sim_pct:.2} }}\n  }}"
-    )
-}
-
-/// Times the batched lockstep engine against the single-stream bytecode
-/// engine on the shared pipeline workload. Every lane runs the same
-/// unseeded deterministic design, so the batch stays on the uniform fast
-/// path — each vector op executes once for the whole batch — and the
-/// headline number is `speedup_r8_over_single`: total throughput of R=8
-/// lanes over running the same 8 simulations back to back on the scalar
-/// engine. The section asserts every lane's result is bit-identical to
-/// the scalar run and that no lane diverged; the full (non-smoke)
-/// snapshot additionally asserts the >= 1.5x acceptance bar at R=8, which
-/// CI re-checks against the checked-in `BENCH_PR8.json`.
-fn batch_section(smoke: bool) -> String {
-    use dda_sim::BatchSim;
-
-    let (cycles, reps) = if smoke { (500, 2) } else { (20_000, 5) };
-    let src = perf_workload(cycles);
-    let design = cache::shared_design(&src, "tb").expect("workload elaborates");
-    let opts = SimOptions::default();
-
-    let (scalar, scalar_ms) = best_ms(reps, || {
-        Simulator::from_design(design.clone())
-            .run(&opts)
-            .expect("scalar workload runs")
-    });
-    assert!(scalar.finished, "scalar workload did not reach $finish");
-
-    let mut per_r = String::new();
-    let mut speedup_r8 = f64::NAN;
-    for &r in &[1usize, 4, 8] {
-        let seeds = vec![None; r];
-        let ((lanes, report), batch_ms) = best_ms(reps, || {
-            let mut sim = BatchSim::new(design.clone(), seeds.clone());
-            let lanes = sim.run(&opts);
-            (lanes, sim.report().clone())
-        });
-        assert!(
-            !report.unsupported,
-            "perf workload rejected by the batch static scan"
-        );
-        assert_eq!(report.diverged, 0, "perf workload lanes diverged");
-        for lane in &lanes {
-            let lane = lane.as_ref().expect("batch lane runs");
-            assert_eq!(lane, &scalar, "batch lane differs from the scalar result");
-        }
-        let speedup = r as f64 * scalar_ms / batch_ms;
-        if r == 8 {
-            speedup_r8 = speedup;
-        }
-        if !per_r.is_empty() {
-            per_r.push_str(",\n    ");
-        }
-        per_r.push_str(&format!(
-            "\"r{r}\": {{ \"batch_ms\": {batch_ms:.3}, \"throughput_x_single\": {speedup:.2} }}"
-        ));
-    }
-    if !smoke {
-        // The acceptance bar lives in the full snapshot only: the --smoke
-        // workload is 500 cycles and its timings are noise-dominated. CI
-        // asserts the same bound against the checked-in BENCH_PR8.json.
-        assert!(
-            speedup_r8 >= 1.5,
-            "R=8 batch throughput {speedup_r8:.2}x single-stream bytecode — below the 1.5x bar"
-        );
-    }
-    eprintln!(
-        "[perfsnap] batch: scalar {scalar_ms:.2} ms/run, R=8 throughput \
-         {speedup_r8:.2}x single-stream"
-    );
-    format!(
-        "\"batch\": {{\n    \
-           \"scalar_run_ms\": {scalar_ms:.3},\n    \
-           {per_r},\n    \
-           \"speedup_r8_over_single\": {speedup_r8:.2}\n  }}"
     )
 }
 
@@ -880,7 +803,6 @@ fn main() {
 
     let model = model_section(smoke);
     let obs = obs_section(smoke);
-    let batch = batch_section(smoke);
     let serve = serve_section(smoke);
     let fail = fail_section(smoke);
     let retrieval = retrieval_section(smoke);
@@ -904,7 +826,7 @@ fn main() {
            \"events_per_sec\": {{ \"ast\": {:.0}, \"bytecode\": {:.0} }},\n  \
            \"speedup_bytecode_over_ast\": {speedup:.2},\n  \
            \"frontend_cache_ms\": {{ \"cold\": {cold_ms:.3}, \"warm\": {warm_ms:.3}, \
-           \"hits\": {}, \"misses\": {} }},\n  {}\n  {}\n  {}\n  {}\n  {}\n  {}\n  {}\n  \
+           \"hits\": {}, \"misses\": {} }},\n  {}\n  {}\n  {}\n  {}\n  {}\n  {}\n  \
            \"smoke\": {smoke}\n}}\n",
         tokens.len(),
         eps(ast_ms),
@@ -913,7 +835,6 @@ fn main() {
         stats.misses,
         format_args!("{},", model.json),
         format_args!("{obs},"),
-        format_args!("{batch},"),
         format_args!("{serve},"),
         format_args!("{fail},"),
         format_args!("{retrieval},"),

@@ -72,12 +72,11 @@ pub fn zoo_from_args() -> ModelZoo {
 /// run. Without both flags the binaries keep their original sequential
 /// code paths, so default output stays byte-identical release to release.
 ///
-/// `--eval-mode ast|bytecode|batch` selects the simulator engine used for
+/// `--eval-mode ast|bytecode` selects the simulator engine used for
 /// testbench scoring (bytecode by default; `ast` reproduces the reference
-/// interpreter for differential runs; `batch` lane-vectorizes repeat
-/// scoring — pair it with `--runs-per-batch R` to lockstep R copies of a
-/// candidate through one simulation). Verdicts and scores are identical
-/// across engines — only wall-clock differs.
+/// interpreter for differential runs). Verdicts and scores are identical
+/// across engines — only wall-clock differs. Any other value is a usage
+/// error.
 ///
 /// `--trace-out PATH` and `--metrics` turn the `dda-obs` recorder on:
 /// the first streams structured JSONL events (plus end-of-run counter
@@ -90,13 +89,8 @@ pub struct RunFlags {
     pub workers: usize,
     /// Journal path stem (`--resume PATH`); one journal per sweep label.
     pub resume: Option<PathBuf>,
-    /// Simulator engine (`--eval-mode ast|bytecode|batch`; default
-    /// bytecode).
+    /// Simulator engine (`--eval-mode ast|bytecode`; default bytecode).
     pub eval_mode: EvalMode,
-    /// Lanes per batched testbench run (`--runs-per-batch R`; default 1 =
-    /// sequential scoring). Clamped to [`dda_sim::MAX_BATCH_LANES`] by the
-    /// sweeps.
-    pub runs_per_batch: usize,
     /// JSONL trace destination (`--trace-out PATH`); enables the recorder.
     pub trace_out: Option<PathBuf>,
     /// Print an end-of-run metrics summary (`--metrics`); enables the
@@ -105,29 +99,46 @@ pub struct RunFlags {
 }
 
 impl RunFlags {
-    /// Parses the flags from the process arguments.
+    /// Parses the flags from the process arguments. On a usage error the
+    /// binary prints it and exits with status 2.
     pub fn from_args() -> RunFlags {
         let args: Vec<String> = std::env::args().collect();
+        RunFlags::parse(&args).unwrap_or_else(|e| {
+            eprintln!("usage error: {e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses the flags from `args` (program name first).
+    ///
+    /// # Errors
+    ///
+    /// A usage message when `--eval-mode` is not followed by `ast` or
+    /// `bytecode`.
+    pub fn parse(args: &[String]) -> Result<RunFlags, String> {
         let after = |flag: &str| {
             args.iter()
                 .position(|a| a == flag)
                 .and_then(|i| args.get(i + 1))
         };
-        RunFlags {
+        let eval_mode = match after("--eval-mode").map(String::as_str) {
+            _ if !args.iter().any(|a| a == "--eval-mode") => EvalMode::default(),
+            Some("ast") => EvalMode::Ast,
+            Some("bytecode") => EvalMode::Bytecode,
+            other => {
+                return Err(format!(
+                    "--eval-mode takes `ast` or `bytecode`, got `{}`",
+                    other.unwrap_or("")
+                ))
+            }
+        };
+        Ok(RunFlags {
             workers: after("--workers").and_then(|v| v.parse().ok()).unwrap_or(1),
             resume: after("--resume").map(PathBuf::from),
-            eval_mode: match after("--eval-mode").map(String::as_str) {
-                Some("ast") => EvalMode::Ast,
-                Some("batch") => EvalMode::Batch,
-                _ => EvalMode::Bytecode,
-            },
-            runs_per_batch: after("--runs-per-batch")
-                .and_then(|v| v.parse().ok())
-                .filter(|&r: &usize| r >= 1)
-                .unwrap_or(1),
+            eval_mode,
             trace_out: after("--trace-out").map(PathBuf::from),
             metrics: args.iter().any(|a| a == "--metrics"),
-        }
+        })
     }
 
     /// Enables the global `dda-obs` recorder when `--trace-out` or
@@ -247,4 +258,40 @@ pub fn log_summary(label: &str, s: &EngineSummary) {
         "[{label}] engine: {} ok, {} quarantined, {} resumed, {} retries",
         s.ok, s.quarantined, s.resumed, s.retries
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<RunFlags, String> {
+        let args: Vec<String> = std::iter::once("table5")
+            .chain(args.iter().copied())
+            .map(String::from)
+            .collect();
+        RunFlags::parse(&args)
+    }
+
+    #[test]
+    fn eval_mode_accepts_only_the_two_engines() {
+        assert_eq!(parse(&[]).unwrap().eval_mode, EvalMode::Bytecode);
+        assert_eq!(
+            parse(&["--eval-mode", "ast"]).unwrap().eval_mode,
+            EvalMode::Ast
+        );
+        assert_eq!(
+            parse(&["--eval-mode", "bytecode", "--workers", "2"])
+                .unwrap()
+                .eval_mode,
+            EvalMode::Bytecode
+        );
+        for bad in [
+            &["--eval-mode", "batch"][..],
+            &["--eval-mode", "AST"],
+            &["--eval-mode"],
+            &["--eval-mode", "--workers", "2"],
+        ] {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
 }

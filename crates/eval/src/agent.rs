@@ -31,15 +31,12 @@
 //! modeled call, outcomes never change, and the parallel batch earns its
 //! speedup the same way it would in production — by overlapping waits.
 
-use crate::generation::{
-    run_testbench, run_testbench_verdict_with, run_testbench_verdicts_batched,
-    testbench_sim_options,
-};
+use crate::generation::{run_testbench, run_testbench_verdict_with, testbench_sim_options};
 use dda_benchmarks::VerilogProblem;
 use dda_core::align::ALIGN_INSTRUCT;
 use dda_core::repair::REPAIR_INSTRUCT;
 use dda_runtime::{run_supervised, CancelToken, RetryPolicy, RunOptions, UnitOutcome};
-use dda_sim::{EvalMode, SimOptions, MAX_BATCH_LANES};
+use dda_sim::EvalMode;
 use dda_slm::{GenOptions, Prepared, Slm};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -235,11 +232,6 @@ pub struct AgentBatchOptions {
     /// Retry budget for chains (chains are deterministic, so this only
     /// matters under injected faults).
     pub retry: RetryPolicy,
-    /// Lockstep lanes per candidate scoring: `R > 1` scores R identical
-    /// copies of each lint-clean candidate through the batch simulation
-    /// engine. Verdicts are bit-identical to the scalar path; this is the
-    /// stress knob, not a semantic one.
-    pub runs_per_batch: usize,
     /// Simulator engine for testbench scoring.
     pub eval_mode: EvalMode,
 }
@@ -253,7 +245,6 @@ impl Default for AgentBatchOptions {
             early_exit: false,
             chain_deadline: None,
             retry: RetryPolicy::none(),
-            runs_per_batch: 1,
             eval_mode: EvalMode::default(),
         }
     }
@@ -337,25 +328,6 @@ fn chain_seed(
         ^ (chain as u64).wrapping_mul(0x9e3779b97f4a7c15)
 }
 
-/// Scores one lint-clean candidate, on the scalar engine or — when the
-/// batch asks for lockstep lanes — through the batched simulator.
-/// Verdicts are engine-invariant, so this cannot change an outcome.
-fn score_candidate(
-    problem: &VerilogProblem,
-    candidate: &str,
-    opts: &AgentBatchOptions,
-    sim: &SimOptions,
-) -> f64 {
-    if opts.runs_per_batch <= 1 {
-        return run_testbench_verdict_with(problem, candidate, sim).pass_rate();
-    }
-    let runs = opts.runs_per_batch.min(MAX_BATCH_LANES);
-    run_testbench_verdicts_batched(problem, candidate, runs, sim)
-        .first()
-        .map(|v| v.pass_rate())
-        .unwrap_or(0.0)
-}
-
 /// Sleeps for the protocol's modeled external-call stall, clipped to the
 /// chain's remaining deadline so the watchdog never has to cut a chain
 /// mid-sleep. Cancelled chains skip the stall entirely.
@@ -414,7 +386,7 @@ fn run_chain(
         let report = dda_lint::check_source(&file, &candidate);
         lint_clean = report.is_clean();
         function = if lint_clean {
-            score_candidate(problem, &candidate, opts, &sim)
+            run_testbench_verdict_with(problem, &candidate, &sim).pass_rate()
         } else {
             0.0
         };

@@ -11,7 +11,7 @@ use dda_benchmarks::{parse_result, VerilogProblem};
 use dda_core::align::ALIGN_INSTRUCT;
 use dda_runtime::CancelToken;
 use dda_sim::cache::{shared_design, FrontendError};
-use dda_sim::{run_batch, EvalMode, SimOptions, Simulator, MAX_BATCH_LANES};
+use dda_sim::{EvalMode, SimOptions, Simulator};
 use dda_slm::{GenOptions, Slm};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -60,12 +60,6 @@ pub struct GenProtocol {
     /// Simulator execution engine (bytecode by default; `Ast` reproduces
     /// the reference interpreter for differential runs).
     pub eval_mode: EvalMode,
-    /// Simulation lanes per batched testbench run (`--runs-per-batch R`).
-    /// At 1 (the default) every sample scores through the sequential
-    /// scalar path. Above 1, identical candidate sources are scored `R`
-    /// at a time through [`dda_sim::run_batch`]; lane results are
-    /// bit-identical to the sequential path, so cells never change.
-    pub runs_per_batch: usize,
 }
 
 impl Default for GenProtocol {
@@ -75,7 +69,6 @@ impl Default for GenProtocol {
             temperature: 0.1,
             seed: 99,
             eval_mode: EvalMode::default(),
-            runs_per_batch: 1,
         }
     }
 }
@@ -152,13 +145,27 @@ pub fn run_testbench_verdict_with(
     generated: &str,
     opts: &SimOptions,
 ) -> TestbenchVerdict {
-    let src = format!("{generated}\n{}", problem.testbench);
+    run_inline_testbench_verdict(generated, problem.testbench, "tb", opts)
+}
+
+/// Runs a generated module against any self-checking `testbench` (one
+/// that prints `RESULT <pass> <total>`) elaborated under the `top`
+/// module. This is the form under [`run_testbench_verdict_with`]; the
+/// daemon's `score` verb calls it directly for testbenches that are not
+/// part of a registered suite.
+pub fn run_inline_testbench_verdict(
+    generated: &str,
+    testbench: &str,
+    top: &str,
+    opts: &SimOptions,
+) -> TestbenchVerdict {
+    let src = format!("{generated}\n{testbench}");
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
         || -> Result<TestbenchVerdict, TestbenchVerdict> {
             // The frontend result is memoized per thread: re-scoring the
             // same candidate (pass@k, repair loops) reuses the elaborated
             // design and its compiled bytecode instead of re-parsing.
-            let design = shared_design(&src, "tb").map_err(|e| match e {
+            let design = shared_design(&src, top).map_err(|e| match e {
                 FrontendError::Parse(m) => TestbenchVerdict::ParseError(m),
                 FrontendError::Elab(e) => TestbenchVerdict::ElabError(e.message),
             })?;
@@ -176,102 +183,17 @@ pub fn run_testbench_verdict_with(
     ));
     match outcome {
         Ok(Ok(v)) | Ok(Err(v)) => v,
-        Err(payload) => TestbenchVerdict::Crash(panic_message(&payload)),
+        Err(payload) => TestbenchVerdict::Crash(panic_message(&*payload)),
     }
 }
 
-/// Scores `runs` copies of the same `generated` candidate against the
-/// problem's testbench in one batched simulation ([`run_batch`] lanes),
-/// returning one verdict per lane.
-///
-/// Lanes are unseeded, so each shares the scalar engine's default
-/// `$random` stream and the verdicts are bit-identical to `runs`
-/// sequential [`run_testbench_verdict_with`] calls. Identical lanes stay
-/// on the batch engine's uniform fast path, which is where the pass@k
-/// sweep's ~R× throughput gain comes from. Frontend failures and caught
-/// panics replicate across all lanes (one bad candidate fails the same
-/// way however many times it is scored).
-pub fn run_testbench_verdicts_batched(
-    problem: &VerilogProblem,
-    generated: &str,
-    runs: usize,
-    opts: &SimOptions,
-) -> Vec<TestbenchVerdict> {
-    let src = format!("{generated}\n{}", problem.testbench);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-        || -> Result<Vec<TestbenchVerdict>, TestbenchVerdict> {
-            let design = shared_design(&src, "tb").map_err(|e| match e {
-                FrontendError::Parse(m) => TestbenchVerdict::ParseError(m),
-                FrontendError::Elab(e) => TestbenchVerdict::ElabError(e.message),
-            })?;
-            let seeds = vec![None; runs];
-            Ok(run_batch(&design, &seeds, opts)
-                .into_iter()
-                .map(|lane| match lane {
-                    Ok(result) => match parse_result(&result.output) {
-                        Some((pass, total)) if total > 0 => {
-                            TestbenchVerdict::Scored(pass as f64 / total as f64)
-                        }
-                        _ => TestbenchVerdict::Scored(0.0),
-                    },
-                    Err(e) => TestbenchVerdict::Timeout(e.to_string()),
-                })
-                .collect())
-        },
-    ));
-    match outcome {
-        Ok(Ok(v)) => v,
-        Ok(Err(v)) => vec![v; runs],
-        Err(payload) => vec![TestbenchVerdict::Crash(panic_message(&payload)); runs],
-    }
-}
-
-/// Best pass rate over a set of lint-clean candidates, scored `R` lanes
-/// at a time when the protocol asks for batching. Shared by the
-/// generation and repair sweeps; the `runs_per_batch == 1` path is the
-/// original sequential loop, untouched.
-pub(crate) fn best_rate_batched(
-    problem: &VerilogProblem,
-    clean: &[String],
-    runs_per_batch: usize,
-    opts: &SimOptions,
-) -> f64 {
-    let mut best: f64 = 0.0;
-    if runs_per_batch <= 1 {
-        for out in clean {
-            let rate = run_testbench_verdict_with(problem, out, opts).pass_rate();
-            if rate > best {
-                best = rate;
-            }
-        }
-        return best;
-    }
-    // Group identical candidates (pass@k at low temperature repeats
-    // sources often) and score each group's copies R lanes per batch.
-    // The simulator is deterministic, so copy-counts cannot change the
-    // max — but every copy still runs, keeping verdict totals and obs
-    // counters faithful to the sequential protocol.
-    let r = runs_per_batch.min(MAX_BATCH_LANES);
-    let mut groups: Vec<(&str, usize)> = Vec::new();
-    for out in clean {
-        match groups.iter_mut().find(|(src, _)| *src == out.as_str()) {
-            Some((_, n)) => *n += 1,
-            None => groups.push((out.as_str(), 1)),
-        }
-    }
-    for (src, mut remaining) in groups {
-        while remaining > 0 {
-            let lanes = remaining.min(r);
-            for v in run_testbench_verdicts_batched(problem, src, lanes, opts) {
-                let rate = v.pass_rate();
-                if rate > best {
-                    best = rate;
-                }
-            }
-            remaining -= lanes;
-        }
-    }
-    best
+/// Best pass rate over a set of lint-clean candidates, each scored once.
+/// Shared by the generation and repair sweeps.
+pub(crate) fn best_rate(problem: &VerilogProblem, clean: &[String], opts: &SimOptions) -> f64 {
+    clean
+        .iter()
+        .map(|out| run_testbench_verdict_with(problem, out, opts).pass_rate())
+        .fold(0.0, f64::max)
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -337,7 +259,7 @@ pub fn eval_cell_with(
     }
     let mut sim_opts = testbench_sim_options(cancel);
     sim_opts.eval_mode = protocol.eval_mode;
-    let best_function = best_rate_batched(problem, &clean, protocol.runs_per_batch, &sim_opts);
+    let best_function = best_rate(problem, &clean, &sim_opts);
     GenCell {
         syntax_errors,
         best_function,
@@ -431,45 +353,17 @@ mod tests {
     }
 
     #[test]
-    fn batched_scoring_matches_sequential() {
+    fn best_rate_is_the_best_candidate_score() {
         let p = &thakur_suite()[0];
         let constant = "module simple_wire(input in, output out);\nassign out = 1'b0;\nendmodule\n";
         let opts = testbench_sim_options(&CancelToken::new());
-        // Verdict level: every lane equals the sequential verdict.
-        for candidate in [p.reference, constant] {
-            let seq = run_testbench_verdict_with(p, candidate, &opts);
-            let lanes = run_testbench_verdicts_batched(p, candidate, 4, &opts);
-            assert_eq!(lanes.len(), 4);
-            for v in lanes {
-                assert_eq!(v, seq);
-            }
-        }
-        // Frontend failures replicate across all lanes.
-        let bad = run_testbench_verdicts_batched(p, "module garbage(; endmodule", 3, &opts);
-        assert_eq!(bad.len(), 3);
-        assert!(bad
+        let clean: Vec<String> = [constant, p.reference, constant]
             .iter()
-            .all(|v| matches!(v, TestbenchVerdict::ParseError(_))));
-        // Cell level: duplicated candidates group and chunk into R-lane
-        // batches without changing the best rate.
-        let clean: Vec<String> = [
-            constant,
-            p.reference,
-            constant,
-            constant,
-            p.reference,
-            constant,
-            constant,
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let seq = best_rate_batched(p, &clean, 1, &opts);
-        assert!((seq - 1.0).abs() < 1e-9);
-        for r in [2, 4, 64, MAX_BATCH_LANES + 9] {
-            assert_eq!(best_rate_batched(p, &clean, r, &opts), seq);
-        }
-        assert_eq!(best_rate_batched(p, &[], 4, &opts), 0.0);
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(best_rate(p, &clean, &opts), 1.0);
+        assert_eq!(best_rate(p, &clean[..1], &opts), 0.5);
+        assert_eq!(best_rate(p, &[], &opts), 0.0);
     }
 
     #[test]

@@ -53,8 +53,8 @@ pub use agent::{
 };
 pub use dda_sim::EvalMode;
 pub use generation::{
-    eval_cell, eval_suite, run_testbench, run_testbench_verdict, run_testbench_verdict_with,
-    run_testbench_verdicts_batched, success_rate, GenCell, GenProtocol, GenRow, TestbenchVerdict,
+    eval_cell, eval_suite, run_inline_testbench_verdict, run_testbench, run_testbench_verdict,
+    run_testbench_verdict_with, success_rate, GenCell, GenProtocol, GenRow, TestbenchVerdict,
 };
 pub use models::{ModelId, ModelZoo, ZooOptions};
 pub use rag::{RagIndex, RAG_SHARDS};

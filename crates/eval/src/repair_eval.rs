@@ -7,7 +7,7 @@
 //! is syntax-scored with the checker and function-scored with the
 //! problem's testbench.
 
-use crate::generation::{best_rate_batched, testbench_sim_options};
+use crate::generation::{best_rate, testbench_sim_options};
 use dda_benchmarks::VerilogProblem;
 use dda_core::repair::{break_verilog, RepairOptions, REPAIR_INSTRUCT};
 use dda_runtime::CancelToken;
@@ -44,9 +44,6 @@ pub struct RepairProtocol {
     pub max_mutations: usize,
     /// Simulator execution engine for the function-scoring runs.
     pub eval_mode: dda_sim::EvalMode,
-    /// Simulation lanes per batched function-scoring run (see
-    /// [`crate::GenProtocol::runs_per_batch`]); 1 scores sequentially.
-    pub runs_per_batch: usize,
 }
 
 impl Default for RepairProtocol {
@@ -57,7 +54,6 @@ impl Default for RepairProtocol {
             seed: 424,
             max_mutations: 3,
             eval_mode: dda_sim::EvalMode::default(),
-            runs_per_batch: 1,
         }
     }
 }
@@ -166,7 +162,7 @@ fn eval_repair_ctx(
     }
     let mut sim_opts = testbench_sim_options(cancel);
     sim_opts.eval_mode = protocol.eval_mode;
-    let best_function = best_rate_batched(problem, &clean, protocol.runs_per_batch, &sim_opts);
+    let best_function = best_rate(problem, &clean, &sim_opts);
     RepairCell {
         syntax_errors,
         best_function,
@@ -266,39 +262,6 @@ mod tests {
             "only {syntax_ok}/5 syntactically repaired: {cells:?}"
         );
         assert!(fixed >= 3, "only {fixed}/5 fully repaired: {cells:?}");
-    }
-
-    #[test]
-    fn batched_repair_cells_match_sequential() {
-        let model = dda_slm::Slm::finetune(
-            SlmProfile {
-                name: "strong-fixer".into(),
-                floor_repair: 0.95,
-                ..SlmProfile::llama2(13.0)
-            },
-            &dda_core::Dataset::new(),
-            &PROGRESSIVE_ORDER,
-        );
-        let suite = rtllm_suite();
-        let base = RepairProtocol {
-            seed: 10,
-            ..RepairProtocol::default()
-        };
-        for id in ["adder_8bit", "mux"] {
-            let p = suite.iter().find(|p| p.id == id).unwrap();
-            let sequential = eval_repair(&model, p, &base);
-            for r in [4, 8] {
-                let batched = eval_repair(
-                    &model,
-                    p,
-                    &RepairProtocol {
-                        runs_per_batch: r,
-                        ..base
-                    },
-                );
-                assert_eq!(batched, sequential, "{id} diverged at R={r}");
-            }
-        }
     }
 
     #[test]

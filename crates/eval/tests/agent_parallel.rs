@@ -9,33 +9,21 @@
 //!    outcome (winner, its chains prefix, canonical cancelled suffix) is
 //!    identical for any worker count and equal to the sequential
 //!    reference.
-//! 3. **Span ↔ outcome reconciliation**: one trace file plus the counter
-//!    registry reconcile exactly with the returned [`AgentBatchOutcome`]
-//!    (rounds, chains, winner), under the `OBS_LOCK` discipline of
-//!    `crates/sim/tests/obs_batch.rs`.
-//! 4. **Engine invariance**: lockstep lanes (`runs_per_batch`) and the
-//!    batch simulator change wall-clock only, never an outcome.
+//!
+//! The span ↔ outcome reconciliation lives in `agent_reconcile.rs`, its
+//! own binary: the recorder is process-global, and the batches these
+//! tests run concurrently would land in its counters.
 
 use dda_benchmarks::thakur_suite;
 use dda_eval::rag::RagIndex;
 use dda_eval::{
     agent_batch, agent_batch_sequential, AgentBatchOptions, AgentBatchOutcome, AgentProtocol,
-    EvalMode, ModelId, ModelZoo, ZooOptions,
+    ModelId, ModelZoo, ZooOptions,
 };
 use dda_slm::Slm;
 use proptest::prelude::*;
 use rand::SeedableRng;
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-static OBS_LOCK: Mutex<()> = Mutex::new(());
-
-/// Serializes recorder access and hands back a clean, enabled recorder.
-fn recorder() -> MutexGuard<'static, ()> {
-    let guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    dda_obs::reset();
-    dda_obs::enable();
-    guard
-}
+use std::sync::OnceLock;
 
 /// One shared model: finetuning is the expensive part of these tests, so
 /// every case reuses the same zoo model (chains reseed per (problem,
@@ -166,100 +154,4 @@ fn early_exit_commit_is_worker_invariant() {
             }
         }
     }
-}
-
-/// Lockstep lanes and the batch simulator are stress knobs, not semantic
-/// ones: outcomes are bit-identical across `runs_per_batch` and engines.
-#[test]
-fn lockstep_scoring_cannot_change_outcomes() {
-    let suite = thakur_suite();
-    let problem = &suite[2];
-    let base = opts(3, 2, 2, false);
-    let reference = agent_batch(model(), problem, 2, &[], &base);
-    for (runs, mode) in [(4usize, EvalMode::Bytecode), (4, EvalMode::Batch)] {
-        let mut o = base.clone();
-        o.runs_per_batch = runs;
-        o.eval_mode = mode;
-        let got = agent_batch(model(), problem, 2, &[], &o);
-        assert_bit_identical(&got, &reference, &format!("runs={runs} mode={mode:?}"));
-    }
-}
-
-/// One trace file reconciles an entire agent run: counters and trace
-/// events must agree exactly with the returned outcome.
-#[test]
-fn spans_and_counters_reconcile_with_outcome() {
-    let _g = recorder();
-    let trace = std::env::temp_dir().join(format!("agent_recon_{}.jsonl", std::process::id()));
-    dda_obs::open_trace(&trace).expect("open trace");
-
-    let suite = thakur_suite();
-    let problem = &suite[1];
-    let o = opts(3, 2, 2, false);
-    let out = agent_batch(model(), problem, 2, &[], &o);
-
-    let snap = dda_obs::snapshot();
-    dda_obs::close_trace().expect("close trace");
-    dda_obs::disable();
-
-    // Counters ↔ outcome. Early-exit is off, so every chain committed:
-    // started = k, passed + failed = k, cancelled = 0, and the round
-    // counter is exactly the outcome's deterministic work measure.
-    let k = o.k as u64;
-    assert_eq!(snap.counter("agent.chain.started"), k);
-    assert_eq!(
-        snap.counter("agent.chain.passed") + snap.counter("agent.chain.failed"),
-        k
-    );
-    assert_eq!(snap.counter("agent.chain.cancelled"), 0);
-    assert_eq!(snap.counter("agent.round"), out.rounds_total as u64);
-
-    // Span aggregates ↔ outcome: one agent.batch span, k agent.chain
-    // spans, rounds_total agent.round spans.
-    assert_eq!(snap.span("agent.batch").expect("batch span").count, 1);
-    assert_eq!(snap.span("agent.chain").expect("chain span").count, k);
-    assert_eq!(
-        snap.span("agent.round").expect("round span").count,
-        out.rounds_total as u64
-    );
-
-    // Trace events ↔ outcome.
-    let events = dda_obs::read_trace(&trace).expect("read trace");
-    let rounds: Vec<_> = events.iter().filter(|e| e.kind == "agent.round").collect();
-    let chains: Vec<_> = events.iter().filter(|e| e.kind == "agent.chain").collect();
-    let batches: Vec<_> = events.iter().filter(|e| e.kind == "agent.batch").collect();
-    assert_eq!(rounds.len(), out.rounds_total, "one event per round");
-    assert_eq!(chains.len(), out.chains.len(), "one event per chain");
-    assert_eq!(batches.len(), 1, "one event per batch");
-
-    for c in &out.chains {
-        let ev = chains
-            .iter()
-            .find(|e| e.field("chain").and_then(|v| v.as_u64()) == Some(c.chain as u64))
-            .expect("chain event present");
-        assert_eq!(
-            ev.field("rounds").and_then(|v| v.as_u64()),
-            Some(c.rounds as u64),
-            "chain {} rounds in trace",
-            c.chain
-        );
-        let per_chain_rounds = rounds
-            .iter()
-            .filter(|e| e.field("chain").and_then(|v| v.as_u64()) == Some(c.chain as u64))
-            .count();
-        assert_eq!(per_chain_rounds, c.rounds, "chain {} round events", c.chain);
-    }
-
-    let batch = batches[0];
-    assert_eq!(batch.field("k").and_then(|v| v.as_u64()), Some(k));
-    assert_eq!(
-        batch.field("rounds_total").and_then(|v| v.as_u64()),
-        Some(out.rounds_total as u64)
-    );
-    assert_eq!(
-        batch.field("winner").and_then(|v| v.as_u64()),
-        out.winner.map(|w| w as u64)
-    );
-
-    let _ = std::fs::remove_file(&trace);
 }

@@ -13,7 +13,7 @@ use crate::proto::{ErrorCode, ReqBody, RespBody};
 use dda_core::pipeline::{self, PipelineOptions, StageSet};
 use dda_corpus::{CorpusModule, Family};
 use dda_eval::generation::{
-    run_testbench_verdict_with, run_testbench_verdicts_batched, testbench_sim_options,
+    run_inline_testbench_verdict, run_testbench_verdict_with, testbench_sim_options,
     TestbenchVerdict,
 };
 use dda_eval::{agent_batch, AgentBatchOptions, AgentProtocol};
@@ -166,7 +166,6 @@ pub fn execute(cx: &HandlerCx, body: &ReqBody, token: &CancelToken) -> RespBody 
             rounds,
             early_exit,
             rag_k,
-            runs,
             seed,
         } => run_agent(
             cx,
@@ -176,7 +175,6 @@ pub fn execute(cx: &HandlerCx, body: &ReqBody, token: &CancelToken) -> RespBody 
             *rounds,
             *early_exit,
             *rag_k,
-            *runs,
             *seed,
             token,
         ),
@@ -185,14 +183,13 @@ pub fn execute(cx: &HandlerCx, body: &ReqBody, token: &CancelToken) -> RespBody 
             problem,
             testbench,
             top,
-            runs,
+            runs: _,
         } => run_score(
             cx,
             source,
             problem.as_deref(),
             testbench.as_deref(),
             top,
-            *runs,
             token,
         ),
         // Every other verb is control plane, answered inline by the service.
@@ -273,7 +270,6 @@ fn run_agent(
     rounds: u64,
     early_exit: bool,
     rag_k: u64,
-    runs: u64,
     seed: u64,
     token: &CancelToken,
 ) -> RespBody {
@@ -303,7 +299,6 @@ fn run_agent(
         workers: 1,
         early_exit,
         chain_deadline: token.remaining(),
-        runs_per_batch: runs as usize,
         ..AgentBatchOptions::default()
     };
     let out = agent_batch(&cx.slm, p, level, &context, &opts);
@@ -335,20 +330,11 @@ fn run_score(
     problem: Option<&str>,
     testbench: Option<&str>,
     top: &str,
-    runs: u64,
     token: &CancelToken,
 ) -> RespBody {
     let opts = testbench_sim_options(token);
-    // `runs > 1` lockstep-scores that many identical lanes on the batch
-    // engine; every lane's verdict is bit-identical to the scalar run, so
-    // the response carries the first verdict plus the lane count.
-    let lanes = runs.clamp(1, dda_sim::MAX_BATCH_LANES as u64) as usize;
     let verdict = match (problem, testbench) {
         (Some(id), None) => match cx.problems.get(id) {
-            Some(p) if lanes > 1 => run_testbench_verdicts_batched(p, source, lanes, &opts)
-                .into_iter()
-                .next()
-                .expect("one verdict per requested lane"),
             Some(p) => run_testbench_verdict_with(p, source, &opts),
             None => {
                 return RespBody::Error {
@@ -357,7 +343,7 @@ fn run_score(
                 }
             }
         },
-        (None, Some(tb)) => score_inline(source, tb, top, lanes, &opts),
+        (None, Some(tb)) => run_inline_testbench_verdict(source, tb, top, &opts),
         _ => {
             return RespBody::Error {
                 code: ErrorCode::BadRequest,
@@ -383,51 +369,6 @@ fn run_score(
         verdict: verdict_s.to_string(),
         pass_rate: verdict.pass_rate(),
         detail,
-        lanes: lanes as u64,
-    }
-}
-
-/// Scores a candidate against an inline testbench by hitting the shared
-/// design cache directly, mirroring `run_testbench_verdict_with` for
-/// sources that aren't part of a registered suite. With `lanes > 1` the
-/// copies run lockstep on the batch engine; lane verdicts are identical,
-/// so the first is returned.
-fn score_inline(
-    source: &str,
-    testbench: &str,
-    top: &str,
-    lanes: usize,
-    opts: &dda_sim::SimOptions,
-) -> TestbenchVerdict {
-    use dda_sim::cache::{shared_design, FrontendError};
-    use dda_sim::Simulator;
-    let src = format!("{source}\n{testbench}");
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-        || -> Result<TestbenchVerdict, TestbenchVerdict> {
-            let design = shared_design(&src, top).map_err(|e| match e {
-                FrontendError::Parse(m) => TestbenchVerdict::ParseError(m),
-                FrontendError::Elab(e) => TestbenchVerdict::ElabError(e.message),
-            })?;
-            let run = if lanes > 1 {
-                dda_sim::run_batch(&design, &vec![None; lanes], opts)
-                    .into_iter()
-                    .next()
-                    .expect("one result per requested lane")
-            } else {
-                Simulator::from_design(design).run(opts)
-            };
-            let result = run.map_err(|e| TestbenchVerdict::Timeout(e.to_string()))?;
-            Ok(match dda_benchmarks::parse_result(&result.output) {
-                Some((pass, total)) if total > 0 => {
-                    TestbenchVerdict::Scored(pass as f64 / total as f64)
-                }
-                _ => TestbenchVerdict::Scored(0.0),
-            })
-        },
-    ));
-    match outcome {
-        Ok(Ok(v)) | Ok(Err(v)) => v,
-        Err(_) => TestbenchVerdict::Crash("simulator panic".to_string()),
     }
 }
 
@@ -453,96 +394,49 @@ mod tests {
         };
         match execute(&cx, &body, &CancelToken::new()) {
             RespBody::Scored {
-                verdict,
-                pass_rate,
-                lanes,
-                ..
+                verdict, pass_rate, ..
             } => {
                 assert_eq!(verdict, "scored");
-                assert_eq!(lanes, 1);
                 assert!((pass_rate - 1.0).abs() < 1e-9, "reference must pass");
             }
             other => panic!("unexpected response: {other:?}"),
         }
     }
 
+    /// `runs` is ignored: any value gets the one scalar verdict, on both
+    /// the registered-problem and the inline-testbench path.
     #[test]
-    fn batched_score_matches_scalar() {
+    fn score_ignores_runs() {
         let cx = cx();
         let p = cx.problems.values().next().unwrap();
-        let score = |runs: u64| ReqBody::Score {
-            source: p.reference.to_string(),
-            problem: Some(p.id.to_string()),
-            testbench: None,
-            top: "tb".to_string(),
-            runs,
-        };
-        let scalar = execute(&cx, &score(1), &CancelToken::new());
-        match execute(&cx, &score(8), &CancelToken::new()) {
-            RespBody::Scored {
-                verdict,
-                pass_rate,
-                detail,
-                lanes,
-            } => {
-                assert_eq!(lanes, 8);
-                match scalar {
-                    RespBody::Scored {
-                        verdict: sv,
-                        pass_rate: sp,
-                        detail: sd,
-                        lanes: sl,
-                    } => {
-                        assert_eq!((verdict, pass_rate, detail), (sv, sp, sd));
-                        assert_eq!(sl, 1);
-                    }
-                    other => panic!("unexpected scalar response: {other:?}"),
-                }
-            }
-            other => panic!("unexpected batched response: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn batched_inline_score_matches_scalar() {
-        let cx = cx();
         let source = "module bw(input in, output out);\nassign out = in;\nendmodule\n";
         let tb = "module tb;\nreg in; wire out;\nbw dut(.in(in), .out(out));\n\
                   integer pass; integer total;\ninitial begin\n  pass = 0; total = 0;\n  \
                   in = 0; #1 total = total + 1; if (out === 1'b0) pass = pass + 1;\n  \
                   in = 1; #1 total = total + 1; if (out === 1'b1) pass = pass + 1;\n  \
                   $display(\"RESULT %0d %0d\", pass, total);\n  $finish;\nend\nendmodule\n";
-        let score = |runs: u64| ReqBody::Score {
+        let registered = |runs: u64| ReqBody::Score {
+            source: p.reference.to_string(),
+            problem: Some(p.id.to_string()),
+            testbench: None,
+            top: "tb".to_string(),
+            runs,
+        };
+        let inline = |runs: u64| ReqBody::Score {
             source: source.to_string(),
             problem: None,
             testbench: Some(tb.to_string()),
             top: "tb".to_string(),
             runs,
         };
-        for runs in [4u64, 64] {
-            match (
-                execute(&cx, &score(1), &CancelToken::new()),
-                execute(&cx, &score(runs), &CancelToken::new()),
-            ) {
-                (
-                    RespBody::Scored {
-                        verdict: sv,
-                        pass_rate: sp,
-                        detail: sd,
-                        ..
-                    },
-                    RespBody::Scored {
-                        verdict,
-                        pass_rate,
-                        detail,
-                        lanes,
-                    },
-                ) => {
-                    assert_eq!(lanes, runs);
-                    assert_eq!((verdict, pass_rate, detail), (sv, sp, sd));
-                    assert!((pass_rate - 1.0).abs() < 1e-9);
-                }
-                other => panic!("unexpected responses: {other:?}"),
+        for score in [&registered as &dyn Fn(u64) -> ReqBody, &inline] {
+            let scalar = execute(&cx, &score(1), &CancelToken::new());
+            match &scalar {
+                RespBody::Scored { pass_rate, .. } => assert!((pass_rate - 1.0).abs() < 1e-9),
+                other => panic!("unexpected response: {other:?}"),
+            }
+            for runs in [0u64, 8, 64, 10_000] {
+                assert_eq!(execute(&cx, &score(runs), &CancelToken::new()), scalar);
             }
         }
     }
@@ -647,7 +541,6 @@ mod tests {
             rounds: 1,
             early_exit: false,
             rag_k: 0,
-            runs: 1,
             seed: crate::proto::DEFAULT_AGENT_SEED,
         };
         let resp = execute(&cx, &body, &CancelToken::new());
@@ -707,7 +600,6 @@ mod tests {
             rounds: 1,
             early_exit: true,
             rag_k: 2,
-            runs: 4,
             seed: 7,
         };
         match execute(&cx, &body, &CancelToken::new()) {
@@ -728,7 +620,6 @@ mod tests {
             rounds: 0,
             early_exit: false,
             rag_k: 0,
-            runs: 1,
             seed: 1,
         };
         match execute(&cx(), &body, &CancelToken::new()) {

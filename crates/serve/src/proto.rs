@@ -120,11 +120,9 @@ pub enum ReqBody {
         testbench: Option<String>,
         /// Top module of the inline testbench (default `tb`).
         top: String,
-        /// Simulation lanes to score in one batched run (default 1 =
-        /// scalar scoring; clamped to [`dda_sim::MAX_BATCH_LANES`] at
-        /// decode time). Lane results are bit-identical to scalar runs;
-        /// the field exists to exercise and benchmark the batch engine
-        /// through the daemon.
+        /// Ignored by the daemon, which scores every candidate once.
+        /// Still decoded and encoded (default 1) because existing clients
+        /// construct and send it.
         runs: u64,
     },
     /// K-nearest corpus modules for a free-text query, from the resident
@@ -156,9 +154,6 @@ pub enum ReqBody {
         /// Few-shot context documents pulled from the resident retrieval
         /// index into each chain's repair prompts (0 = no RAG).
         rag_k: u64,
-        /// Lockstep lanes per candidate scoring (default 1 = scalar;
-        /// clamped to [`dda_sim::MAX_BATCH_LANES`]).
-        runs: u64,
         /// Chain RNG seed (default [`DEFAULT_AGENT_SEED`]).
         seed: u64,
     },
@@ -325,9 +320,6 @@ pub enum RespBody {
         pass_rate: f64,
         /// Failure detail (empty for `scored`).
         detail: String,
-        /// Simulation lanes actually scored (1 for scalar runs; echoes a
-        /// batched request's `runs`).
-        lanes: u64,
     },
     /// `retrieve` result.
     Retrieved {
@@ -588,7 +580,7 @@ wire_verbs!(ReqBody {
     "agent" => Agent {
         problem: Need, level: Omit(DEFAULT_AGENT_LEVEL), k: Omit(DEFAULT_AGENT_K),
         rounds: Omit(DEFAULT_AGENT_ROUNDS), early_exit: Omit(false), rag_k: Omit(0),
-        runs: Omit(1), seed: Omit(DEFAULT_AGENT_SEED),
+        seed: Omit(DEFAULT_AGENT_SEED),
     },
     "poison" => Poison,
 });
@@ -608,7 +600,7 @@ wire_verbs!(RespBody {
     "augment" => Augmented { entries: Keep(0), quarantined: Keep(0), jsonl: Need },
     "generate" => Generated { output: Need },
     "repair" => Repaired { source: Need, clean: Keep(false), cost: Keep(0) },
-    "score" => Scored { verdict: Need, pass_rate: Keep(0.0), detail: Keep(""), lanes: Omit(1) },
+    "score" => Scored { verdict: Need, pass_rate: Keep(0.0), detail: Keep("") },
     "retrieve" => Retrieved { count: Keep(0), jsonl: Need },
     "agent" => AgentReport {
         passed: Keep(false), winner: Omit(None), chains: Keep(0), rounds_total: Keep(0),
@@ -659,34 +651,22 @@ impl Request {
     /// clamps that bound what one request may ask of a worker, and
     /// `score`'s exactly-one-of `problem` and `testbench`.
     fn settle(&mut self) -> Result<(), ProtoError> {
-        let lanes = dda_sim::MAX_BATCH_LANES as u64;
         if let Some(ms) = &mut self.deadline_ms {
             *ms = (*ms).min(MAX_DEADLINE_MS);
         }
         match &mut self.body {
             ReqBody::Score {
-                problem,
-                testbench,
-                runs,
-                ..
-            } => {
-                if problem.is_some() == testbench.is_some() {
-                    return Err(bad("score needs exactly one of `problem` or `testbench`"));
-                }
-                *runs = (*runs).clamp(1, lanes);
+                problem, testbench, ..
+            } if problem.is_some() == testbench.is_some() => {
+                return Err(bad("score needs exactly one of `problem` or `testbench`"));
             }
             ReqBody::Retrieve { k, .. } => *k = (*k).clamp(1, MAX_RETRIEVE_K),
             ReqBody::Agent {
-                k,
-                rounds,
-                rag_k,
-                runs,
-                ..
+                k, rounds, rag_k, ..
             } => {
                 *k = (*k).clamp(1, MAX_AGENT_K);
                 *rounds = (*rounds).min(MAX_AGENT_ROUNDS);
                 *rag_k = (*rag_k).min(MAX_RETRIEVE_K);
-                *runs = (*runs).clamp(1, lanes);
             }
             _ => {}
         }
@@ -823,7 +803,6 @@ mod tests {
                     rounds: DEFAULT_AGENT_ROUNDS,
                     early_exit: false,
                     rag_k: 0,
-                    runs: 1,
                     seed: DEFAULT_AGENT_SEED,
                 },
             },
@@ -838,7 +817,6 @@ mod tests {
                     rounds: 2,
                     early_exit: true,
                     rag_k: 4,
-                    runs: 8,
                     seed: 42,
                 },
             },
@@ -864,7 +842,6 @@ mod tests {
                     verdict: "scored".into(),
                     pass_rate: 0.5,
                     detail: String::new(),
-                    lanes: 1,
                 },
             },
             Response {
@@ -874,7 +851,6 @@ mod tests {
                     verdict: "scored".into(),
                     pass_rate: 1.0,
                     detail: String::new(),
-                    lanes: 8,
                 },
             },
             Response {
@@ -948,29 +924,33 @@ mod tests {
     }
 
     #[test]
-    fn score_runs_is_lenient_and_clamped() {
-        // Absent on old-client frames: defaults to 1 (scalar scoring).
-        let line = "{\"ev\": \"score\", \"id\": 1, \"source\": \"m\", \"problem\": \"p\"}";
-        match Request::from_line(line).unwrap().body {
-            ReqBody::Score { runs, .. } => assert_eq!(runs, 1),
-            other => panic!("{other:?}"),
-        }
-        // Oversized asks clamp to the engine's lane ceiling; zero means 1.
-        for (asked, want) in [(0u64, 1u64), (7, 7), (10_000, 64)] {
-            let line = format!(
-                "{{\"ev\": \"score\", \"id\": 1, \"source\": \"m\", \
-                 \"problem\": \"p\", \"runs\": {asked}}}"
-            );
+    fn score_runs_is_lenient_and_unclamped() {
+        // Absent: defaults to 1. Present: kept as sent — the daemon
+        // ignores it, so there is no engine limit to clamp to.
+        for (line_runs, want) in [
+            (None, 1u64),
+            (Some(0), 0),
+            (Some(8), 8),
+            (Some(10_000), 10_000),
+        ] {
+            let line = match line_runs {
+                None => "{\"ev\": \"score\", \"id\": 1, \"source\": \"m\", \"problem\": \"p\"}"
+                    .to_string(),
+                Some(r) => format!(
+                    "{{\"ev\": \"score\", \"id\": 1, \"source\": \"m\", \
+                     \"problem\": \"p\", \"runs\": {r}}}"
+                ),
+            };
             match Request::from_line(&line).unwrap().body {
-                ReqBody::Score { runs, .. } => assert_eq!(runs, want, "asked {asked}"),
+                ReqBody::Score { runs, .. } => assert_eq!(runs, want, "asked {line_runs:?}"),
                 other => panic!("{other:?}"),
             }
         }
-        // Old-server responses without `lanes` decode to 1.
+        // Responses from a server that still echoed `lanes` decode.
         let line = "{\"ev\": \"response\", \"id\": 1, \"verb\": \"score\", \
-                    \"status\": \"ok\", \"verdict\": \"scored\", \"pass_rate\": 1}";
+                    \"status\": \"ok\", \"verdict\": \"scored\", \"pass_rate\": 1, \"lanes\": 8}";
         match Response::from_line(line).unwrap().body {
-            RespBody::Scored { lanes, .. } => assert_eq!(lanes, 1),
+            RespBody::Scored { verdict, .. } => assert_eq!(verdict, "scored"),
             other => panic!("{other:?}"),
         }
     }
@@ -995,7 +975,7 @@ mod tests {
     #[test]
     fn agent_defaults_are_lenient_and_clamped() {
         // A bare frame gets the paper protocol: level 2, pass@5, 3
-        // rounds, no early-exit, no RAG, scalar scoring, seed 7331.
+        // rounds, no early-exit, no RAG, seed 7331.
         let line = "{\"ev\": \"agent\", \"id\": 1, \"problem\": \"p\"}";
         match Request::from_line(line).unwrap().body {
             ReqBody::Agent {
@@ -1004,7 +984,6 @@ mod tests {
                 rounds,
                 early_exit,
                 rag_k,
-                runs,
                 seed,
                 ..
             } => {
@@ -1013,7 +992,6 @@ mod tests {
                 assert_eq!(rounds, DEFAULT_AGENT_ROUNDS);
                 assert!(!early_exit);
                 assert_eq!(rag_k, 0);
-                assert_eq!(runs, 1);
                 assert_eq!(seed, DEFAULT_AGENT_SEED);
             }
             other => panic!("{other:?}"),
@@ -1030,29 +1008,24 @@ mod tests {
                 rounds: DEFAULT_AGENT_ROUNDS,
                 early_exit: false,
                 rag_k: 0,
-                runs: 1,
                 seed: DEFAULT_AGENT_SEED,
             },
         };
         let wire = req.to_line();
-        for absent in ["level", "rounds", "early_exit", "rag_k", "runs", "seed"] {
+        for absent in ["level", "rounds", "early_exit", "rag_k", "seed"] {
             assert!(!wire.contains(absent), "`{absent}` leaked onto {wire}");
         }
-        // Oversized asks clamp; zero k means 1.
+        // Oversized asks clamp; zero k means 1. A `runs` pair from an
+        // older client is an unknown field and is ignored.
         let line = "{\"ev\": \"agent\", \"id\": 1, \"problem\": \"p\", \
                     \"k\": 0, \"rounds\": 99, \"rag_k\": 10000, \"runs\": 10000}";
         match Request::from_line(line).unwrap().body {
             ReqBody::Agent {
-                k,
-                rounds,
-                rag_k,
-                runs,
-                ..
+                k, rounds, rag_k, ..
             } => {
                 assert_eq!(k, 1);
                 assert_eq!(rounds, MAX_AGENT_ROUNDS);
                 assert_eq!(rag_k, MAX_RETRIEVE_K);
-                assert_eq!(runs, dda_sim::MAX_BATCH_LANES as u64);
             }
             other => panic!("{other:?}"),
         }
@@ -1136,7 +1109,6 @@ mod tests {
             rounds: DEFAULT_AGENT_ROUNDS,
             early_exit: false,
             rag_k: 0,
-            runs: 1,
             seed: DEFAULT_AGENT_SEED,
         }
         .is_control());

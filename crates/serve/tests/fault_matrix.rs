@@ -22,6 +22,7 @@
 use dda_fail::{FaultAction, FaultSchedule, Trigger};
 use dda_runtime::{Priority, RetryPolicy};
 use dda_serve::client::{RetryOptions, RetryingClient};
+use dda_serve::handlers::{execute, HandlerCx};
 use dda_serve::proto::{ErrorCode, ReqBody, Request, RespBody};
 use dda_serve::service::{ServeOptions, ServerExit};
 use dda_serve::supervisor::{supervise, SupervisorOptions};
@@ -327,7 +328,6 @@ fn agent_survives_pinned_round_faults() {
         rounds: 1,
         early_exit: i % 2 == 1,
         rag_k: 0,
-        runs: 1,
         seed: 7331 ^ i,
     });
 }
@@ -471,4 +471,49 @@ fn injected_io_errors_on_the_wire_do_not_lose_requests() {
     dda_fail::deactivate();
     server.stop();
     server.join();
+}
+
+/// A simulator panic while scoring against an inline testbench reports
+/// the panic payload in the `crash` verdict's detail, exactly as the
+/// registered-problem path does (both score through
+/// `dda_eval::run_inline_testbench_verdict`). The panic is injected at the
+/// design cache's lock, inside the scorer's panic isolation.
+#[test]
+fn inline_score_crash_reports_the_panic_payload() {
+    let _gate = GATE.lock().unwrap_or_else(|p| p.into_inner());
+    let cx = HandlerCx::bootstrap(0, false);
+    let problem = cx.problems.values().next().unwrap().id.to_string();
+    let inline = quick_score(7001);
+    // A source no earlier test has scored, so the cache lookup misses
+    // its thread-local tier and reaches the failpoint.
+    let registered = ReqBody::Score {
+        source: "module crash_probe_7002(input in, output out);\nassign out = in;\nendmodule\n"
+            .into(),
+        problem: Some(problem),
+        testbench: None,
+        top: "tb".into(),
+        runs: 1,
+    };
+    dda_fail::install(FaultSchedule::new(7).rule(
+        "sim.cache.lock",
+        FaultAction::Panic,
+        Trigger::Every { start: 0, every: 1 },
+    ))
+    .unwrap();
+    let token = dda_runtime::CancelToken::new();
+    let answers = [
+        execute(&cx, &inline, &token),
+        execute(&cx, &registered, &token),
+    ];
+    dda_fail::deactivate();
+    for got in answers {
+        assert_eq!(
+            got,
+            RespBody::Scored {
+                verdict: "crash".into(),
+                pass_rate: 0.0,
+                detail: "dda-fail: injected panic at failpoint `sim.cache.lock`".into(),
+            }
+        );
+    }
 }

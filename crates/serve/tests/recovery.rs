@@ -10,8 +10,9 @@
 use dda_runtime::Priority;
 use dda_serve::client::Client;
 use dda_serve::journal::RequestJournal;
-use dda_serve::proto::{ReqBody, Request, RespBody, StatsBody};
+use dda_serve::proto::{ReqBody, Request, RespBody, Response, StatsBody};
 use dda_serve::service::{ServeOptions, Server, ServerExit};
+use dda_serve::wire::{read_frame, write_frame, MAX_FRAME};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -328,6 +329,95 @@ fn torn_journal_tail_drops_only_the_torn_record() {
         );
         std::thread::sleep(Duration::from_millis(10));
     }
+    let mut c = Client::connect(&path).unwrap();
+    let _ = c.call(&req(99, ReqBody::Shutdown)).unwrap();
+    drop(c);
+    assert_eq!(server.join_outcome(), ServerExit::Drained);
+    let (_, pending) = RequestJournal::recover(&journal).unwrap();
+    assert!(pending.is_empty(), "still pending: {pending:?}");
+    std::fs::remove_file(&journal).ok();
+}
+
+/// Journal records and live frames from clients that still send
+/// `"runs": 8` — a `score` field the daemon ignores, an `agent` field it
+/// no longer has — replay without error and are answered exactly as the
+/// same frames without `runs`: one scalar verdict.
+#[test]
+fn runs_from_older_clients_replays_and_answers_the_scalar_verdict() {
+    let journal = jpath("runs");
+    let ReqBody::Score {
+        source, testbench, ..
+    } = quick_score(950)
+    else {
+        unreachable!()
+    };
+    let esc = dda_obs::event::escape;
+    let score = |runs: &str| {
+        format!(
+            r#"{{"ev": "score", "id": 1, "source": "{}", "testbench": "{}"{runs}, "top": "tb"}}"#,
+            esc(&source),
+            esc(testbench.as_deref().unwrap())
+        )
+    };
+    let agent = |runs: &str| {
+        format!(r#"{{"ev": "agent", "id": 2, "problem": "basic1", "k": 1, "rounds": 0{runs}}}"#)
+    };
+    let runs8 = r#", "runs": 8"#;
+    {
+        let (mut j, pending) = RequestJournal::recover(&journal).unwrap();
+        assert!(pending.is_empty());
+        j.record_accepted(&score(runs8)).unwrap();
+        j.record_accepted(&agent(runs8)).unwrap();
+        j.sync().unwrap();
+    }
+
+    let path = sock("runs");
+    let opts = ServeOptions {
+        journal: Some(journal.clone()),
+        ..fast_opts()
+    };
+    let server = Server::start(&path, &opts).unwrap();
+    wait_ready(&path, Duration::from_secs(10));
+    let t0 = Instant::now();
+    loop {
+        let s = stats(&path);
+        if s.completed >= 2 {
+            // `completed` counts non-error answers only.
+            assert_eq!((s.replayed, s.panics), (2, 0), "{s:?}");
+            break;
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(20),
+            "replay stalled: {s:?}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let raw = |line: &str| {
+        let mut conn = std::os::unix::net::UnixStream::connect(&path).unwrap();
+        write_frame(&mut conn, line).unwrap();
+        let back = read_frame(&mut conn, MAX_FRAME)
+            .unwrap()
+            .expect("a response");
+        Response::from_line(&back).unwrap()
+    };
+    let old = raw(&score(runs8));
+    assert_eq!(
+        old.body,
+        RespBody::Scored {
+            verdict: "scored".into(),
+            pass_rate: 1.0,
+            detail: String::new(),
+        }
+    );
+    assert_eq!(old, raw(&score("")));
+    let old = raw(&agent(runs8));
+    assert!(
+        matches!(old.body, RespBody::AgentReport { chains: 1, .. }),
+        "{old:?}"
+    );
+    assert_eq!(old, raw(&agent("")));
+
     let mut c = Client::connect(&path).unwrap();
     let _ = c.call(&req(99, ReqBody::Shutdown)).unwrap();
     drop(c);

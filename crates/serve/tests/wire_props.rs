@@ -137,15 +137,14 @@ proptest! {
         prop_assert_eq!(back, req);
     }
 
-    /// Score requests round-trip with inline testbenches, at every legal
-    /// batch width (the decoder clamps `runs` into [1, 64], so only
-    /// in-range values are codec-exact).
+    /// Score requests round-trip with inline testbenches and any `runs`
+    /// (the daemon ignores it; the codec keeps it as sent).
     #[test]
     fn score_round_trip(
         source in "\\PC{0,120}",
         tb in "\\PC{0,120}",
         top in "[a-z_]{1,12}",
-        runs in 1u64..65,
+        runs in 0u64..100_000,
     ) {
         let req = Request {
             id: 1,
@@ -331,7 +330,6 @@ fn request_goldens() -> Vec<(Request, String)> {
                     rounds: 3,
                     early_exit: false,
                     rag_k: 0,
-                    runs: 1,
                     seed: DEFAULT_AGENT_SEED,
                 },
             ),
@@ -349,11 +347,10 @@ fn request_goldens() -> Vec<(Request, String)> {
                     rounds: 2,
                     early_exit: true,
                     rag_k: 4,
-                    runs: 8,
                     seed: 42,
                 },
             ),
-            r#"{"ev": "agent", "id": 15, "deadline_ms": 5000, "problem": "counter", "level": 1, "k": 3, "rounds": 2, "early_exit": true, "rag_k": 4, "runs": 8, "seed": 42}"#.into(),
+            r#"{"ev": "agent", "id": 15, "deadline_ms": 5000, "problem": "counter", "level": 1, "k": 3, "rounds": 2, "early_exit": true, "rag_k": 4, "seed": 42}"#.into(),
         ),
     ]
 }
@@ -450,7 +447,6 @@ fn response_goldens() -> Vec<(Response, String)> {
                     verdict: "scored".into(),
                     pass_rate: 1.0,
                     detail: String::new(),
-                    lanes: 1,
                 },
             ),
             r#"{"ev": "response", "id": 9, "verb": "score", "status": "ok", "verdict": "scored", "pass_rate": 1, "detail": ""}"#.into(),
@@ -463,10 +459,9 @@ fn response_goldens() -> Vec<(Response, String)> {
                     verdict: "timeout".into(),
                     pass_rate: 0.25,
                     detail: "step budget\texceeded".into(),
-                    lanes: 8,
                 },
             ),
-            r#"{"ev": "response", "id": 10, "verb": "score", "status": "ok", "verdict": "timeout", "pass_rate": 0.25, "detail": "step budget\texceeded", "lanes": 8}"#.into(),
+            r#"{"ev": "response", "id": 10, "verb": "score", "status": "ok", "verdict": "timeout", "pass_rate": 0.25, "detail": "step budget\texceeded"}"#.into(),
         ),
         (
             resp(
@@ -609,7 +604,6 @@ fn agent_chain_line_golden() {
         rounds: 1,
         early_exit: false,
         rag_k: 0,
-        runs: 1,
         seed: DEFAULT_AGENT_SEED,
     };
     match execute(&golden_cx(), &body, &dda_runtime::CancelToken::new()) {
@@ -634,4 +628,57 @@ fn generate_prompt_surrogate_pairs_decode() {
         ReqBody::Generate { prompt, .. } => assert_eq!(prompt, "a rocket \u{1f680} counter"),
         other => panic!("{other:?}"),
     }
+}
+
+/// A `score` frame from a client that still sends `"runs": 8` decodes and
+/// gets the scalar verdict: the daemon ignores `runs` and scores the
+/// candidate once, so the response is byte-identical to the one for the
+/// frame without it.
+#[test]
+fn score_frame_with_runs_gets_the_scalar_verdict() {
+    let p = &dda_benchmarks::thakur_suite()[0];
+    let frame = |runs: &str| {
+        format!(
+            r#"{{"ev": "score", "id": 3, "source": "{}", "problem": "{}"{runs}}}"#,
+            dda_obs::event::escape(p.reference),
+            p.id
+        )
+    };
+    let answer = |line: &str| {
+        let req = Request::from_line(line).expect("decodes");
+        let body = execute(&golden_cx(), &req.body, &dda_runtime::CancelToken::new());
+        resp(req.id, req.body.verb(), body).to_line()
+    };
+    let old = answer(&frame(r#", "runs": 8"#));
+    assert_eq!(
+        old,
+        r#"{"ev": "response", "id": 3, "verb": "score", "status": "ok", "verdict": "scored", "pass_rate": 1, "detail": ""}"#
+    );
+    assert_eq!(old, answer(&frame("")));
+}
+
+/// An `agent` frame from a client that still sends `"runs": 8` decodes
+/// (the field is gone, and unknown fields are ignored) to the same request
+/// as the frame without it, and gets the same report.
+#[test]
+fn agent_frame_with_runs_decodes_and_runs_unchanged() {
+    let line = r#"{"ev": "agent", "id": 15, "problem": "basic1", "k": 2, "rounds": 1, "runs": 8}"#;
+    let body = ReqBody::Agent {
+        problem: "basic1".into(),
+        level: 2,
+        k: 2,
+        rounds: 1,
+        early_exit: false,
+        rag_k: 0,
+        seed: DEFAULT_AGENT_SEED,
+    };
+    let decoded = Request::from_line(line).expect("decodes");
+    assert_eq!(decoded, req(15, Priority::Normal, None, body.clone()));
+    let cancel = dda_runtime::CancelToken::new();
+    let got = execute(&golden_cx(), &decoded.body, &cancel);
+    assert!(
+        matches!(got, RespBody::AgentReport { chains: 2, .. }),
+        "{got:?}"
+    );
+    assert_eq!(got, execute(&golden_cx(), &body, &cancel));
 }

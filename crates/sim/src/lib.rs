@@ -45,7 +45,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod cache;
 mod compile;
 pub mod elab;
@@ -54,9 +53,7 @@ mod exec;
 pub mod ops;
 pub mod vcd;
 
-pub use batch::{run_batch, BatchReport, BatchSim};
 pub use compile::{fusion_enabled, set_fusion};
-pub use dda_verilog::MAX_BATCH_LANES;
 pub use elab::{elaborate, Design, ElabError, Process, ProcessKind, SigId, SignalDef};
 pub use exec::{EvalMode, RunError, RunErrorKind, SimArena, SimOptions, SimResult, Simulator};
 pub use vcd::VcdRecorder;

@@ -97,13 +97,11 @@ call verbs (all take --socket PATH, optional --priority high, --deadline-ms N):
   augment <file.v> [--seed N]
   generate --prompt TEXT [--instruct TEXT] [--temperature T] [--seed N]
   repair <file.v> [--budget N]
-  score <file.v> (--problem ID | --testbench <tb.v> [--top NAME]) [--runs R]
-                       --runs R scores R identical lanes in one batched
-                       simulation (1-64; results match scalar scoring)
+  score <file.v> (--problem ID | --testbench <tb.v> [--top NAME])
   retrieve --query TEXT [-k N]  k nearest corpus modules from the resident
                        sharded index, as JSONL (best first; default k 5)
   agent --problem ID [--level L] [-k N] [--rounds N] [--early-exit]
-                       [--rag-k N] [--runs R] [--seed N]
+                       [--rag-k N] [--seed N]
                        pass@k tool-in-the-loop repair chains against a
                        benchmark problem (defaults: level 2, k 5, rounds 3;
                        --rag-k pulls context from the resident index)
@@ -460,9 +458,7 @@ fn cmd_call(args: &[String]) -> CmdResult {
                 None => None,
             },
             top: flag_value(rest, "--top").unwrap_or("tb").to_string(),
-            runs: flag_value(rest, "--runs")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1),
+            runs: 1,
         },
         "retrieve" => ReqBody::Retrieve {
             query: flag_value(rest, "--query")
@@ -495,9 +491,6 @@ fn cmd_call(args: &[String]) -> CmdResult {
                 rag_k: flag_value(rest, "--rag-k")
                     .and_then(|v| v.parse().ok())
                     .unwrap_or(0),
-                runs: flag_value(rest, "--runs")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(1),
                 seed: flag_value(rest, "--seed")
                     .and_then(|v| v.parse().ok())
                     .unwrap_or(DEFAULT_AGENT_SEED),
@@ -579,17 +572,11 @@ fn cmd_call(args: &[String]) -> CmdResult {
             verdict,
             pass_rate,
             detail,
-            lanes,
         } => {
-            let lanes_note = if *lanes > 1 {
-                format!(" [{lanes} lanes]")
-            } else {
-                String::new()
-            };
             if detail.is_empty() {
-                println!("{verdict}: pass rate {pass_rate:.3}{lanes_note}");
+                println!("{verdict}: pass rate {pass_rate:.3}");
             } else {
-                println!("{verdict}: pass rate {pass_rate:.3}{lanes_note} ({detail})");
+                println!("{verdict}: pass rate {pass_rate:.3} ({detail})");
             }
         }
         RespBody::AgentReport {
