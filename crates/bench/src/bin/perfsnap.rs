@@ -10,7 +10,8 @@
 //! paths (retrieval queries and simulator runs) with the recorder
 //! disabled vs enabled — trials interleave the two states and the
 //! reported number is the per-state median, so warm-up and frequency
-//! drift cannot bias one side — then runs a multi-client storm against an in-process `dda-serve`
+//! drift cannot bias one side — then runs a multi-client storm against
+//! an in-process `dda-serve`
 //! daemon (hot-cache and cache-miss profiles, recording req/s and
 //! p50/p99 round-trip latency), then times the `dda-fail` failpoint tax
 //! on the pool's submit→execute hot path (two sites per job; zero when

@@ -115,7 +115,7 @@ impl RunFlags {
     ///
     /// A usage message when `--eval-mode` is not followed by `ast` or
     /// `bytecode`.
-    pub fn parse(args: &[String]) -> Result<RunFlags, String> {
+    fn parse(args: &[String]) -> Result<RunFlags, String> {
         let after = |flag: &str| {
             args.iter()
                 .position(|a| a == flag)

@@ -403,44 +403,6 @@ mod tests {
         }
     }
 
-    /// `runs` is ignored: any value gets the one scalar verdict, on both
-    /// the registered-problem and the inline-testbench path.
-    #[test]
-    fn score_ignores_runs() {
-        let cx = cx();
-        let p = cx.problems.values().next().unwrap();
-        let source = "module bw(input in, output out);\nassign out = in;\nendmodule\n";
-        let tb = "module tb;\nreg in; wire out;\nbw dut(.in(in), .out(out));\n\
-                  integer pass; integer total;\ninitial begin\n  pass = 0; total = 0;\n  \
-                  in = 0; #1 total = total + 1; if (out === 1'b0) pass = pass + 1;\n  \
-                  in = 1; #1 total = total + 1; if (out === 1'b1) pass = pass + 1;\n  \
-                  $display(\"RESULT %0d %0d\", pass, total);\n  $finish;\nend\nendmodule\n";
-        let registered = |runs: u64| ReqBody::Score {
-            source: p.reference.to_string(),
-            problem: Some(p.id.to_string()),
-            testbench: None,
-            top: "tb".to_string(),
-            runs,
-        };
-        let inline = |runs: u64| ReqBody::Score {
-            source: source.to_string(),
-            problem: None,
-            testbench: Some(tb.to_string()),
-            top: "tb".to_string(),
-            runs,
-        };
-        for score in [&registered as &dyn Fn(u64) -> ReqBody, &inline] {
-            let scalar = execute(&cx, &score(1), &CancelToken::new());
-            match &scalar {
-                RespBody::Scored { pass_rate, .. } => assert!((pass_rate - 1.0).abs() < 1e-9),
-                other => panic!("unexpected response: {other:?}"),
-            }
-            for runs in [0u64, 8, 64, 10_000] {
-                assert_eq!(execute(&cx, &score(runs), &CancelToken::new()), scalar);
-            }
-        }
-    }
-
     #[test]
     fn score_unknown_problem_is_bad_request() {
         let body = ReqBody::Score {
